@@ -13,7 +13,7 @@
 //!
 //! Run: `cargo run --release -p pm-bench --bin capacity_sweep [--jobs N]` (plus telemetry flags `--trace`/`--metrics`/`--prom`/`--events`/`--progress`; see `--help`)
 
-use pm_bench::par::par_map;
+use pm_bench::par::stream_indexed;
 use pm_bench::report::{pct, render_table};
 use pm_bench::EvalOptions;
 use pm_core::{FmssmInstance, Pg, Pm, RecoveryAlgorithm, RetroFlow};
@@ -24,7 +24,9 @@ const CAPACITIES: [u32; 8] = [450, 475, 500, 525, 550, 600, 700, 800];
 fn main() {
     let opts = EvalOptions::from_args();
     let _plane = opts.start_telemetry_plane();
-    let results = par_map(&CAPACITIES, opts.jobs, |_, &capacity| {
+    let n = CAPACITIES.len() as u64;
+    let results = stream_indexed(0..n, opts.jobs, 1, "capacity_sweep", |i, _: &mut ()| {
+        let capacity = CAPACITIES[i as usize];
         let builder = SdWanBuilder::att_paper_setup_with_capacity(capacity);
         // Below ~490 some domain overloads; study that regime too.
         let net = match builder.clone().build() {

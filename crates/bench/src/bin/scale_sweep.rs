@@ -193,7 +193,7 @@ fn main() {
             .map(|&(_, v)| v)
             .unwrap_or(0)
     };
-    let live_peak = counter("sweep.scenario.live_peak");
+    let live_peak = counter("sweep.live_peak");
     let live_bound = (opts.jobs as u64).saturating_mul(opts.batch as u64);
     assert!(
         live_peak <= live_bound,

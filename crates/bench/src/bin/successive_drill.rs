@@ -18,7 +18,7 @@
 //!
 //! Run: `cargo run --release -p pm-bench --bin successive_drill [--jobs N]` (plus telemetry flags `--trace`/`--metrics`/`--prom`/`--events`/`--progress`; see `--help`)
 
-use pm_bench::par::par_map;
+use pm_bench::par::stream_indexed;
 use pm_bench::report::render_table;
 use pm_bench::{EvalOptions, SweepEngine};
 use pm_core::{FmssmInstance, Pm, RecoveryAlgorithm, SuccessiveRecovery};
@@ -51,7 +51,9 @@ fn main() {
         .flat_map(|first| (0..m).filter(move |&s| s != first).map(move |s| (first, s)))
         .collect();
 
-    let sequences = par_map(&pairs, opts.jobs, |_, &(first, second)| {
+    let n = pairs.len() as u64;
+    let sequences = stream_indexed(0..n, opts.jobs, 1, "successive_drill", |i, _: &mut ()| {
+        let (first, second) = pairs[i as usize];
         let prog = engine.programmability();
         let (c1, c2) = (ControllerId(first), ControllerId(second));
 

@@ -7,8 +7,8 @@
 //! `--events FILE` / `--progress` on the bench binaries wire it up; see
 //! [`crate::EvalOptions`].
 //!
-//! Event emission is strictly observational: it wraps the sweep closure in
-//! [`crate::SweepEngine::run_cases`] and never touches a
+//! Event emission is strictly observational: it wraps the per-case closure
+//! of [`crate::SweepEngine::sweep_selection`] and never touches a
 //! [`crate::CaseResult`], so sweep output stays byte-identical with the
 //! log on or off, at any `--jobs` count (pinned by an integration test).
 //! Timestamps are relative to log creation (`t_ms`), keeping lines short

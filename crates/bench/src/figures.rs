@@ -358,7 +358,7 @@ pub struct ScaleRunInfo {
     /// Cases actually run (the shard's slice of the selection).
     pub cases_run: usize,
     /// Peak number of simultaneously materialized scenarios
-    /// (`sweep.scenario.live_peak`).
+    /// (`sweep.live_peak`).
     pub live_peak: u64,
     /// The contract bound on `live_peak`: `jobs × batch`.
     pub live_bound: u64,

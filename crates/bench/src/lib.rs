@@ -32,9 +32,7 @@ pub mod wan;
 
 pub use events::EventLog;
 pub use harness::{AlgoRun, CaseResult, EvalOptions, TelemetryPlane};
-pub use par::{
-    current_worker, par_map, stream_indexed, timing_stats, SolvedPlan, SweepEngine, TimingStats,
-};
+pub use par::{current_worker, stream_indexed, timing_stats, SolvedPlan, SweepEngine, TimingStats};
 pub use plan_store::{PlanStore, StoredPlan};
 pub use pmd::{Generation, PmdConfig, PmdService};
 pub use scenario_space::{binomial, ScenarioSelection, ScenarioSpace};

@@ -1,17 +1,27 @@
 //! Deterministic parallel failure sweeps.
 //!
-//! [`SweepEngine`] runs the failure cases of a sweep across a scoped
-//! worker pool (`--jobs N`, default: all cores) and merges the per-case
-//! results in the scenario sequence's order — ascending colexicographic
-//! rank (see [`crate::ScenarioSpace`]) — regardless of which worker
-//! finishes first. Scenarios are **streamed**: workers claim contiguous
-//! position batches and materialize each failure set on demand with
-//! [`crate::ScenarioSpace::unrank`], so live scenario storage never
-//! exceeds `jobs × batch` entries however large `C(n, f)` grows (the
-//! `sweep.scenario.live_peak` counter records the observed high-water
-//! mark). `--shard i/m` restricts a run to one contiguous slice of the
-//! sequence and `--max-scenarios` subsamples it; both compose with any
-//! job count without changing a single result byte.
+//! Every parallel job in this crate — the failure sweeps, the `pmd`
+//! plan-store build, the timeline sweeps and the extra studies — runs
+//! through one worker pool, [`stream_indexed`] (`--jobs N`, default: all
+//! cores). Its workers claim contiguous batches of a position range and
+//! carry one caller-defined state across every batch they claim (a sweep
+//! carries its rolling scenario and algorithm workspaces); results merge
+//! in position order regardless of which worker finishes first.
+//!
+//! [`SweepEngine`] feeds it the positions of a scenario sequence —
+//! ascending colexicographic rank (see [`crate::ScenarioSpace`]) — and
+//! materializes each failure set on demand with
+//! [`crate::ScenarioSpace::unrank`]. `--shard i/m` restricts a run to one
+//! contiguous slice of the sequence and `--max-scenarios` subsamples it;
+//! both compose with any job count without changing a single result byte.
+//!
+//! When the [`pm_obs`] recorder is on, the pool records one counter
+//! block under the caller's prefix (`sweep` for scenario sweeps and the
+//! store build, `sim.sweep` for timelines, the binary's name for the
+//! extra studies): `{prefix}.live_peak` (high-water mark of in-flight
+//! positions), the `{prefix}.queue_wait_ns` histogram,
+//! `{prefix}.worker.{w}.busy_ns` and `{prefix}.worker.{w}.items`; its
+//! threads are labelled `{prefix}-worker-{w}`.
 //!
 //! Each case reuses the engine's [`NetCache`] (shortest-path trees,
 //! path counts, programmability, controller loads, delay orders), so a
@@ -43,104 +53,33 @@ thread_local! {
     static WORKER_ID: Cell<usize> = const { Cell::new(0) };
 }
 
-/// The zero-based id of the [`par_map`] worker running on this thread —
-/// 0 on the calling thread (serial path) and any thread outside a sweep.
-/// The event log ([`crate::events`]) stamps it on `case_start` /
+/// The zero-based id of the [`stream_indexed`] worker running on this
+/// thread — 0 on the calling thread (serial path) and any thread outside
+/// a sweep. The event log ([`crate::events`]) stamps it on `case_start` /
 /// `case_finish` lines.
 pub fn current_worker() -> usize {
     WORKER_ID.with(Cell::get)
 }
 
-/// Applies `f` to every item on up to `jobs` scoped worker threads and
-/// returns the results in **input order**, whatever the completion order.
-///
-/// Work is handed out through an atomic index, so long and short items mix
-/// freely across workers. With `jobs <= 1` (or a single item) everything
-/// runs on the calling thread.
-///
-/// # Panics
-///
-/// Panics if `f` panics on any item (the panic is propagated when the
-/// worker scope joins).
-pub fn par_map<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let jobs = jobs.max(1).min(items.len());
-    if jobs <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..items.len()).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for w in 0..jobs {
-            let (next, slots, f) = (&next, &slots, &f);
-            scope.spawn(move || {
-                WORKER_ID.with(|id| id.set(w));
-                let obs = pm_obs::enabled();
-                if obs {
-                    pm_obs::set_thread_label(format!("sweep-worker-{w}"));
-                }
-                // "Queue wait" is the gap between useful work items on this
-                // worker: dispatch plus the result-slot lock of the
-                // previous item. It bounds the merge/dispatch overhead the
-                // engine adds on top of the algorithms themselves.
-                let mut idle_since = obs.then(std::time::Instant::now);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    if let Some(t0) = idle_since {
-                        pm_obs::observe(
-                            "sweep.queue_wait_ns",
-                            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                        );
-                    }
-                    let busy_t0 = obs.then(std::time::Instant::now);
-                    let r = f(i, &items[i]);
-                    if let Some(t0) = busy_t0 {
-                        pm_obs::count(
-                            format!("sweep.worker.{w}.busy_ns"),
-                            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                        );
-                        pm_obs::count(format!("sweep.worker.{w}.cases"), 1);
-                    }
-                    slots.lock().expect("no poisoned worker")[i] = Some(r);
-                    idle_since = obs.then(std::time::Instant::now);
-                }
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("workers joined")
-        .into_iter()
-        .map(|r| r.expect("every slot filled"))
-        .collect()
-}
-
-/// Streams the integer positions of `range` through a batch-claiming
-/// worker pool and returns `f(position)` results in **position order**,
-/// whatever the completion order — the generic core of the streaming
-/// dispatch contract: workers claim contiguous batches of `batch`
+/// Streams the integer positions of `range` through the worker pool and
+/// returns `f(position, state)` results in **position order**, whatever
+/// the completion order. Workers claim contiguous batches of `batch`
 /// positions through an atomic counter, so at most `jobs × batch`
 /// positions are in flight at once and output is independent of the job
-/// count.
+/// count. Each worker creates one `S` and carries it across every batch
+/// it claims; with `jobs <= 1` (or at most one position) everything runs
+/// on the calling thread with one `S` threaded through the whole range.
+/// Use `batch = 1` for a few heavy items, so workers claim one at a time.
 ///
-/// When the [`pm_obs`] recorder is on, the dispatch records
-/// `{prefix}.live_peak` (high-water mark of in-flight positions),
-/// `{prefix}.worker.{w}.busy_ns` / `{prefix}.worker.{w}.items` and the
-/// `{prefix}.queue_wait_ns` histogram, mirroring the scenario sweep's
-/// counters under the caller's namespace.
+/// When the [`pm_obs`] recorder is on, the pool records the counter block
+/// of the [module docs](self) under `prefix`; the serial path records
+/// only `{prefix}.live_peak`.
 ///
 /// # Panics
 ///
 /// Panics if `f` panics on any position (propagated when the worker
 /// scope joins).
-pub fn stream_indexed<R, F>(
+pub fn stream_indexed<S, R, F>(
     range: Range<u64>,
     jobs: usize,
     batch: usize,
@@ -148,8 +87,9 @@ pub fn stream_indexed<R, F>(
     f: F,
 ) -> Vec<R>
 where
+    S: Default,
     R: Send,
-    F: Fn(u64) -> R + Sync,
+    F: Fn(u64, &mut S) -> R + Sync,
 {
     let total = usize::try_from(range.end.saturating_sub(range.start))
         .expect("streamed result set fits memory");
@@ -157,12 +97,13 @@ where
     let jobs = jobs.clamp(1, total.max(1));
     let batch = batch.max(1);
     if jobs <= 1 {
+        let mut state = S::default();
         let mut out = Vec::with_capacity(total);
         for pos in range {
             if obs {
                 pm_obs::count_max(format!("{prefix}.live_peak"), 1);
             }
-            out.push(f(pos));
+            out.push(f(pos, &mut state));
         }
         return out;
     }
@@ -178,6 +119,11 @@ where
                 if obs {
                     pm_obs::set_thread_label(format!("{prefix}-worker-{w}"));
                 }
+                let mut state = S::default();
+                // "Queue wait" is the gap between batches on this worker:
+                // the claim plus the result-slot locks of the previous
+                // batch. It bounds the dispatch overhead the pool adds on
+                // top of the per-position work itself.
                 let mut idle_since = obs.then(std::time::Instant::now);
                 loop {
                     let claim = next.fetch_add(1, Ordering::Relaxed);
@@ -199,7 +145,7 @@ where
                     }
                     for pos in start..end {
                         let busy_t0 = obs.then(std::time::Instant::now);
-                        let r = f(pos);
+                        let r = f(pos, &mut state);
                         if let Some(t0) = busy_t0 {
                             pm_obs::count(
                                 format!("{prefix}.worker.{w}.busy_ns"),
@@ -281,6 +227,12 @@ impl<'net> SweepEngine<'net> {
     /// The per-network cache shared by all cases.
     pub fn cache(&self) -> &NetCache {
         &self.cache
+    }
+
+    /// Consumes the engine and hands back its cache, for a caller that
+    /// keeps serving the network after the sweep.
+    pub fn into_cache(self) -> NetCache {
+        self.cache
     }
 
     /// The cached programmability table.
@@ -444,29 +396,6 @@ impl<'net> SweepEngine<'net> {
         *slot = Some(self.scenario(failed).expect("valid failure case"));
     }
 
-    /// Runs the given cases across the worker pool; results come back in
-    /// the order of `cases`, independent of completion order.
-    ///
-    /// When [`EvalOptions::events`] is set, per-case progress events are
-    /// streamed as the sweep runs. Event emission only wraps the per-case
-    /// closure — it never reads or writes a [`CaseResult`] — so results
-    /// are byte-identical with the log on or off.
-    pub fn run_cases(&self, cases: &[Vec<ControllerId>]) -> Vec<CaseResult> {
-        let Some(events) = &self.opts.events else {
-            return par_map(cases, self.opts.jobs, |_, failed| self.run_case(failed));
-        };
-        events.sweep_start(cases.len(), self.opts.jobs.clamp(1, cases.len().max(1)));
-        let out = par_map(cases, self.opts.jobs, |_, failed| {
-            let label = case_label(self.net, failed);
-            let token = events.case_start(&label);
-            let result = self.run_case(failed);
-            events.case_finish(token, &label);
-            result
-        });
-        events.sweep_finish();
-        out
-    }
-
     /// The scenario selection a `f`-failure sweep of this engine executes:
     /// the full colex rank space of f-subsets of the controllers, cut down
     /// to [`EvalOptions::max_scenarios`] by seeded sampling when set.
@@ -490,17 +419,14 @@ impl<'net> SweepEngine<'net> {
     /// them through the worker pool in position order.
     ///
     /// Workers claim contiguous batches of [`EvalOptions::batch`]
-    /// positions and materialize each batch's failure sets on demand, so
+    /// positions and materialize each failure set on demand, so
     /// at most `jobs × batch` scenario descriptors are live at once —
-    /// recorded in the `sweep.scenario.live_peak` counter when the
+    /// recorded in the `sweep.live_peak` counter when the
     /// recorder is on. Results merge in position order, making output
     /// independent of the job count, and m shards concatenated in shard
     /// order byte-identical to the unsharded run.
     pub fn sweep_selection(&self, sel: &ScenarioSelection) -> Vec<CaseResult> {
-        self.run_stream(sel, sel.shard_range(self.opts.shard))
-    }
-
-    fn run_stream(&self, sel: &ScenarioSelection, range: Range<u64>) -> Vec<CaseResult> {
+        let range = sel.shard_range(self.opts.shard);
         let total = usize::try_from(range.end - range.start).expect("shard result set fits memory");
         if pm_obs::enabled() {
             pm_obs::count_max("sweep.scenario.space_size", sel.space().count());
@@ -528,111 +454,32 @@ impl<'net> SweepEngine<'net> {
         out
     }
 
-    /// The streaming batch-claim dispatch shared by the sweep
+    /// Streams the positions of `range` through [`stream_indexed`] under
+    /// the `sweep` prefix — the dispatch shared by the sweep
     /// ([`SweepEngine::sweep_selection`]) and the PM-only store build
-    /// ([`SweepEngine::solve_selection`]): positions of `range` are
-    /// materialized on demand and `f` runs against a per-worker
-    /// [`DeltaState`], reset per case when the incremental path is off.
-    /// Results come back in position order at any job count.
+    /// ([`SweepEngine::solve_selection`]). Each worker carries a scenario
+    /// buffer and a [`DeltaState`] across every block it claims, so the
+    /// first case of a block deltas from the last case of the previous
+    /// one; the state is reset per case when the incremental path is off.
     fn stream_cases<R, F>(&self, sel: &ScenarioSelection, range: Range<u64>, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(&[ControllerId], &mut DeltaState<'net>) -> R + Sync,
     {
-        let total = usize::try_from(range.end - range.start).expect("result set fits memory");
-        let obs = pm_obs::enabled();
-        let jobs = self.opts.jobs.clamp(1, total.max(1));
-        let batch = self.opts.batch.max(1);
-        let run_one = |failed: &[ControllerId], state: &mut DeltaState<'net>| -> R {
-            if !self.opts.incremental {
-                // Cold recompute: nothing survives between cases.
-                *state = DeltaState::default();
-            }
-            f(failed, state)
-        };
-        if jobs <= 1 {
-            // Serial path: one scenario buffer, reused across positions,
-            // and one delta state threaded through the whole shard.
-            let mut buf = Vec::new();
-            let mut state = DeltaState::default();
-            let mut out = Vec::with_capacity(total);
-            for pos in range {
-                sel.scenario_at_into(pos, &mut buf);
-                if obs {
-                    pm_obs::count_max("sweep.scenario.live_peak", 1);
+        stream_indexed(
+            range,
+            self.opts.jobs,
+            self.opts.batch,
+            "sweep",
+            |pos, (buf, state): &mut (Vec<ControllerId>, DeltaState<'net>)| {
+                if !self.opts.incremental {
+                    // Cold recompute: nothing survives between cases.
+                    *state = DeltaState::default();
                 }
-                out.push(run_one(&buf, &mut state));
-            }
-            out
-        } else {
-            let next = AtomicU64::new(0);
-            let live = AtomicUsize::new(0);
-            let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..total).map(|_| None).collect());
-            std::thread::scope(|scope| {
-                for w in 0..jobs {
-                    let (next, live, slots, run_one) = (&next, &live, &slots, &run_one);
-                    let range = range.clone();
-                    scope.spawn(move || {
-                        WORKER_ID.with(|id| id.set(w));
-                        if obs {
-                            pm_obs::set_thread_label(format!("sweep-worker-{w}"));
-                        }
-                        let mut batch_buf: Vec<Vec<ControllerId>> = Vec::with_capacity(batch);
-                        // Carried across every block this worker claims:
-                        // the first case of a block deltas from the last
-                        // case of the previous one.
-                        let mut state = DeltaState::default();
-                        let mut idle_since = obs.then(std::time::Instant::now);
-                        loop {
-                            let claim = next.fetch_add(1, Ordering::Relaxed);
-                            let start = range.start + claim * batch as u64;
-                            if start >= range.end {
-                                break;
-                            }
-                            let end = (start + batch as u64).min(range.end);
-                            batch_buf.clear();
-                            for pos in start..end {
-                                batch_buf.push(sel.scenario_at(pos));
-                            }
-                            if obs {
-                                let now = live.fetch_add(batch_buf.len(), Ordering::Relaxed)
-                                    + batch_buf.len();
-                                pm_obs::count_max("sweep.scenario.live_peak", now as u64);
-                            }
-                            if let Some(t0) = idle_since {
-                                pm_obs::observe(
-                                    "sweep.queue_wait_ns",
-                                    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                                );
-                            }
-                            for (off, failed) in batch_buf.iter().enumerate() {
-                                let busy_t0 = obs.then(std::time::Instant::now);
-                                let r = run_one(failed, &mut state);
-                                if let Some(t0) = busy_t0 {
-                                    pm_obs::count(
-                                        format!("sweep.worker.{w}.busy_ns"),
-                                        u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                                    );
-                                    pm_obs::count(format!("sweep.worker.{w}.cases"), 1);
-                                }
-                                let slot = (start - range.start) as usize + off;
-                                slots.lock().expect("no poisoned worker")[slot] = Some(r);
-                            }
-                            if obs {
-                                live.fetch_sub(batch_buf.len(), Ordering::Relaxed);
-                            }
-                            idle_since = obs.then(std::time::Instant::now);
-                        }
-                    });
-                }
-            });
-            slots
-                .into_inner()
-                .expect("workers joined")
-                .into_iter()
-                .map(|r| r.expect("every slot filled"))
-                .collect()
-        }
+                sel.scenario_at_into(pos, buf);
+                f(buf, state)
+            },
+        )
     }
 }
 
@@ -708,33 +555,10 @@ mod tests {
     use pm_sdwan::SdWanBuilder;
 
     #[test]
-    fn par_map_preserves_input_order() {
-        let items: Vec<usize> = (0..57).collect();
-        // Uneven per-item cost so completion order differs from input order.
-        let f = |i: usize, &x: &usize| {
-            if x % 7 == 0 {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            (i, x * x)
-        };
-        let serial = par_map(&items, 1, f);
-        let parallel = par_map(&items, 8, f);
-        assert_eq!(serial, parallel);
-        assert_eq!(parallel[10], (10, 100));
-    }
-
-    #[test]
-    fn par_map_empty_and_single() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(par_map(&empty, 4, |_, &x| x).is_empty());
-        assert_eq!(par_map(&[5u32], 4, |_, &x| x + 1), vec![6]);
-    }
-
-    #[test]
     fn stream_indexed_matches_serial_and_preserves_position_order() {
         // Uneven per-position cost so completion order differs from
         // position order.
-        let f = |pos: u64| {
+        let f = |pos: u64, _: &mut ()| {
             if pos % 5 == 0 {
                 std::thread::sleep(Duration::from_millis(1));
             }
@@ -745,7 +569,38 @@ mod tests {
         assert_eq!(serial, parallel);
         assert_eq!(serial[0], 9);
         assert_eq!(serial.len(), 37);
-        assert!(stream_indexed(5..5, 4, 4, "test.stream", |p| p).is_empty());
+        assert!(stream_indexed(5..5, 4, 4, "test.stream", |p, _: &mut ()| p).is_empty());
+        assert_eq!(
+            stream_indexed(5..6, 4, 1, "test.stream", |p, _: &mut ()| p + 1),
+            vec![6]
+        );
+
+        // A per-worker scratch buffer reused across positions leaves the
+        // results job-count independent.
+        let stateful = |pos: u64, buf: &mut Vec<u64>| {
+            buf.clear();
+            buf.extend(0..pos % 7);
+            (pos, buf.iter().sum::<u64>())
+        };
+        for batch in [1, 3] {
+            assert_eq!(
+                stream_indexed(0..57, 1, batch, "test.stream", stateful),
+                stream_indexed(0..57, 8, batch, "test.stream", stateful),
+            );
+        }
+        // A per-worker call counter: the serial path threads one state
+        // through the whole range.
+        let counts = |jobs| {
+            stream_indexed(0..40, jobs, 2, "test.stream", |_, calls: &mut u64| {
+                *calls += 1;
+                *calls
+            })
+        };
+        assert_eq!(counts(1), (1..=40).collect::<Vec<u64>>());
+        // Each worker carries its state across all 20 blocks it may claim:
+        // a fresh state (count 1) appears at most once per worker.
+        let fresh = counts(2).iter().filter(|&&c| c == 1).count();
+        assert!((1..=2).contains(&fresh), "{fresh} fresh states");
     }
 
     #[test]
@@ -808,12 +663,12 @@ mod tests {
         let engine = SweepEngine::new(&net, opts);
         for k in 1..=3 {
             let streamed = engine.sweep(k);
-            // Reference: materialize the same colex sequence and run it
-            // through the explicit-case path.
+            // Reference: the same colex sequence, each case run serially
+            // on the cold per-case path.
             let sel = engine.selection(k);
-            let cases: Vec<Vec<ControllerId>> =
-                (0..sel.len()).map(|p| sel.scenario_at(p)).collect();
-            let reference = engine.run_cases(&cases);
+            let reference: Vec<CaseResult> = (0..sel.len())
+                .map(|p| engine.run_case(&sel.scenario_at(p)))
+                .collect();
             assert_eq!(streamed.len(), reference.len());
             for (a, b) in streamed.iter().zip(&reference) {
                 assert_eq!(case_fingerprint(a), case_fingerprint(b), "k = {k}");
@@ -893,7 +748,7 @@ mod tests {
         let peak = snap
             .counters
             .iter()
-            .find(|(n, _)| n == "sweep.scenario.live_peak")
+            .find(|(n, _)| n == "sweep.live_peak")
             .map(|&(_, v)| v)
             .expect("live peak recorded");
         assert!(peak >= 1, "peak observed");

@@ -94,7 +94,7 @@ impl Generation {
     /// sweep engine's delta/warm-start path.
     pub fn build(id: u64, net: SdWan, cfg: &PmdConfig) -> Generation {
         let _span = pm_obs::span("pmd.generation.build");
-        let store = {
+        let (store, cache) = {
             let engine = SweepEngine::new(
                 &net,
                 EvalOptions {
@@ -104,9 +104,8 @@ impl Generation {
                     ..Default::default()
                 },
             );
-            PlanStore::build(&engine, cfg.horizon)
+            (PlanStore::build(&engine, cfg.horizon), engine.into_cache())
         };
-        let cache = NetCache::build(&net);
         Generation {
             id,
             net,

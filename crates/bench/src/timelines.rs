@@ -153,7 +153,7 @@ impl SweepEngine<'_> {
             self.options().jobs,
             self.options().batch,
             "sim.sweep",
-            |pos| {
+            |pos, _: &mut ()| {
                 let id = sel.id_at(pos);
                 space
                     .generate(id)

@@ -215,7 +215,7 @@ fn stats_from_timeseries(doc: &Value) -> FrameStats {
     };
     stats.done = total_of("sweep.cases");
     stats.total = total_of("sweep.scenario.selected");
-    stats.live_peak = total_of("sweep.scenario.live_peak");
+    stats.live_peak = total_of("sweep.live_peak");
     let intervals = doc
         .get("intervals")
         .and_then(Value::items)
@@ -372,7 +372,7 @@ mod tests {
             r#"{
               "schema_version": 1, "interval_ms": 250, "start_unix_ms": 0,
               "totals": {"sweep.cases": 30, "sweep.scenario.selected": 41,
-                         "sweep.scenario.live_peak": 12},
+                         "sweep.live_peak": 12},
               "intervals": [
                 {"index": 0, "end_ms": 250, "dur_ms": 250, "unix_ms": 0,
                  "counters": {"sweep.cases": {"total": 30, "delta": 10, "rate_per_sec": 40.0}},

@@ -76,8 +76,8 @@ pub struct HistSample {
 }
 
 /// One worker thread's utilization over one interval, derived from the
-/// `<prefix>.worker.<N>.busy_ns` / `.cases` / `.items` counters the sweep
-/// dispatchers maintain.
+/// `<prefix>.worker.<N>.busy_ns` / `.items` counters the worker pool
+/// maintains.
 #[derive(Debug, Clone)]
 pub struct WorkerSample {
     /// Worker key: the counter name up to (not including) `.busy_ns`,
@@ -172,12 +172,17 @@ impl Sampler {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(Arc::clone(&shared));
         let stop = Arc::new((Mutex::new(false), Condvar::new()));
+        // The baseline is taken here, not on the sampler thread: anything
+        // counted after `start` returns must land in an interval, not be
+        // folded into the baseline before the thread first runs.
+        let t0 = Instant::now();
+        let baseline = snapshot();
         let handle = {
             let shared = Arc::clone(&shared);
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("pm-obs-sampler".into())
-                .spawn(move || sampler_loop(&shared, &stop, interval))
+                .spawn(move || sampler_loop(&shared, &stop, interval, t0, baseline))
                 .expect("sampler thread spawns")
         };
         Sampler {
@@ -228,9 +233,13 @@ fn unix_ms_now() -> u64 {
         .unwrap_or(0)
 }
 
-fn sampler_loop(shared: &TsShared, stop: &(Mutex<bool>, Condvar), interval: Duration) {
-    let t0 = Instant::now();
-    let mut prev = snapshot();
+fn sampler_loop(
+    shared: &TsShared,
+    stop: &(Mutex<bool>, Condvar),
+    interval: Duration,
+    t0: Instant,
+    mut prev: Snapshot,
+) {
     let mut prev_t = t0;
     let (lock, cvar) = stop;
     loop {
@@ -296,10 +305,7 @@ fn build_interval(
                 busy_pct: (delta as f64 / dur_ns * 100.0).min(100.0),
                 items_delta: 0,
             });
-        } else if let Some(key) = name
-            .strip_suffix(".cases")
-            .or_else(|| name.strip_suffix(".items"))
-        {
+        } else if let Some(key) = name.strip_suffix(".items") {
             if key.contains(".worker.") {
                 worker_items.push((key.to_string(), delta));
             }
@@ -630,7 +636,7 @@ mod tests {
             &[
                 ("sweep.cases", 30),
                 ("sweep.worker.0.busy_ns", 250_000_000),
-                ("sweep.worker.0.cases", 20),
+                ("sweep.worker.0.items", 20),
             ],
             &[("sweep.case_ns", 30)],
         );

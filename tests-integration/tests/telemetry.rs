@@ -2,7 +2,7 @@
 //! sweep results.
 //!
 //! [`EventLog`] emission wraps the per-case closure inside
-//! [`SweepEngine::run_cases`]; this test pins that the rendered metric
+//! [`SweepEngine::sweep_selection`]; this test pins that the rendered metric
 //! tables are byte-identical with the log on or off, at `--jobs 1` and
 //! `--jobs 8`, and that the JSONL stream itself is well-formed (every
 //! line parses, sequence numbers and done/total counts add up, worker
