@@ -16,8 +16,8 @@
 use pm_bench::par::stream_indexed;
 use pm_bench::report::{pct, render_table};
 use pm_bench::EvalOptions;
-use pm_core::{FmssmInstance, Pg, Pm, RecoveryAlgorithm, RetroFlow};
-use pm_sdwan::{ControllerId, NetCache, PlanMetrics, SdWanBuilder};
+use pm_core::{solve, FmssmInstance, Pg, Pm, RecoveryAlgorithm, RetroFlow};
+use pm_sdwan::{ControllerId, NetCache, SdWanBuilder};
 
 const CAPACITIES: [u32; 8] = [450, 475, 500, 525, 550, 600, 700, 800];
 
@@ -25,7 +25,7 @@ fn main() {
     let opts = EvalOptions::from_args();
     let _plane = opts.start_telemetry_plane();
     let n = CAPACITIES.len() as u64;
-    let results = stream_indexed(0..n, opts.jobs, 1, "capacity_sweep", |i, _: &mut ()| {
+    let results = stream_indexed(0..n, opts.jobs, 1, "capacity_sweep", |i, ws| {
         let capacity = CAPACITIES[i as usize];
         let builder = SdWanBuilder::att_paper_setup_with_capacity(capacity);
         // Below ~490 some domain overloads; study that regime too.
@@ -52,10 +52,7 @@ fn main() {
             &Pm::new(),
             &Pg::new(),
         ] {
-            let plan = algo.recover(&inst).expect("plan");
-            plan.validate(&scenario, prog, algo.is_flow_level())
-                .expect("valid plan");
-            let m = PlanMetrics::compute(&scenario, prog, &plan, 0.0);
+            let m = solve(algo, &inst, ws).expect("valid plan").metrics;
             cells.push(format!(
                 "{} ({})",
                 pct(m.recovered_flows as f64 / recoverable.max(1) as f64),

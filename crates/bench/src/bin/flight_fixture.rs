@@ -6,8 +6,8 @@
 //! Run: `cargo run -p pm-bench --bin flight_fixture -- --out FILE
 //! [--cases N]`
 
-use pm_bench::harness::{run_case, EvalOptions};
-use pm_sdwan::{ControllerId, Programmability, SdWanBuilder};
+use pm_bench::{EvalOptions, SweepEngine};
+use pm_sdwan::{ControllerId, SdWanBuilder};
 
 fn main() {
     let mut out: Option<std::path::PathBuf> = None;
@@ -46,15 +46,17 @@ fn main() {
     pm_obs::set_thread_label("flight-fixture-main");
 
     let net = SdWanBuilder::att_paper_setup().build().expect("paper net");
-    let prog = Programmability::compute(&net);
-    let opts = EvalOptions {
-        skip_optimal: true,
-        ..Default::default()
-    };
+    let engine = SweepEngine::new(
+        &net,
+        EvalOptions {
+            skip_optimal: true,
+            ..Default::default()
+        },
+    );
     let n_controllers = net.controllers().len();
     for i in 0..cases.max(1) {
         let c = ControllerId(i % n_controllers);
-        let case = run_case(&net, &prog, &[c], &opts);
+        let case = engine.run_case(&[c]);
         eprintln!(
             "flight_fixture: case {} ({}) ran {} algorithms",
             i,

@@ -13,8 +13,8 @@
 //! Run: `cargo run --release -p pm-bench --bin reroute_drill` (plus telemetry flags `--trace`/`--metrics`/`--prom`/`--events`/`--progress`; see `--help`)
 
 use pm_bench::{EvalOptions, SweepEngine};
-use pm_core::{FmssmInstance, Pg, Pm, RecoveryAlgorithm, Rerouter, RetroFlow};
-use pm_sdwan::{ControllerId, SdWanBuilder, SwitchId};
+use pm_core::{solve, FmssmInstance, Pg, Pm, PmWorkspace, RecoveryAlgorithm, Rerouter, RetroFlow};
+use pm_sdwan::{ControllerId, RecoveryPlan, SdWanBuilder, SwitchId};
 
 fn main() {
     let opts = EvalOptions::from_args();
@@ -27,6 +27,21 @@ fn main() {
     let failed = [ControllerId(3), ControllerId(4)];
     let scenario = engine.scenario(&failed).expect("valid failure");
     let inst = FmssmInstance::with_cache(&scenario, prog, engine.cache());
+    // One validated plan per algorithm, shared by both parts of the drill.
+    let mut ws = PmWorkspace::default();
+    let plans: Vec<(&str, RecoveryPlan)> = [
+        &RetroFlow::new() as &dyn RecoveryAlgorithm,
+        &Pm::new(),
+        &Pg::new(),
+    ]
+    .into_iter()
+    .map(|algo| {
+        (
+            algo.name(),
+            solve(algo, &inst, &mut ws).expect("valid plan").plan,
+        )
+    })
+    .collect();
 
     // The most-loaded link by flow count.
     let mut best: Option<(SwitchId, SwitchId, usize)> = None;
@@ -67,13 +82,8 @@ fn main() {
         "\n{:<10} {:>10} {:>12} {:>14}",
         "algorithm", "reroutable", "% of crossing", "mean detour(ms)"
     );
-    for algo in [
-        &RetroFlow::new() as &dyn RecoveryAlgorithm,
-        &Pm::new(),
-        &Pg::new(),
-    ] {
-        let plan = algo.recover(&inst).expect("plan");
-        let mut rr = Rerouter::new(&scenario, prog, &plan);
+    for (name, plan) in &plans {
+        let mut rr = Rerouter::new(&scenario, prog, plan);
         let mut moved = 0usize;
         let mut detour_sum = 0.0;
         for &l in &crossing {
@@ -98,7 +108,7 @@ fn main() {
         }
         println!(
             "{:<10} {:>10} {:>12.0}% {:>14.3}",
-            algo.name(),
+            name,
             format!("{moved}/{}", crossing.len()),
             100.0 * moved as f64 / crossing.len() as f64,
             if moved > 0 {
@@ -123,17 +133,12 @@ fn main() {
         "{:<10} {:>12} {:>12} {:>8} {:>7}",
         "algorithm", "initial", "final", "relief", "moves"
     );
-    for algo in [
-        &RetroFlow::new() as &dyn RecoveryAlgorithm,
-        &Pm::new(),
-        &Pg::new(),
-    ] {
-        let plan = algo.recover(&inst).expect("plan");
+    for (name, plan) in &plans {
         let report =
-            pm_core::relieve_hotspots(&scenario, prog, &plan, &tm, capacity, 32).expect("traffic");
+            pm_core::relieve_hotspots(&scenario, prog, plan, &tm, capacity, 32).expect("traffic");
         println!(
             "{:<10} {:>11.1}% {:>11.1}% {:>7.1}% {:>7}",
-            algo.name(),
+            name,
             report.initial_utilization * 100.0,
             report.final_utilization * 100.0,
             report.relief() * 100.0,

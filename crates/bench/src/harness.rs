@@ -1,10 +1,11 @@
-//! Runs the four algorithms on failure cases and collects metrics.
+//! Evaluation options, and the four algorithms run on one failure case
+//! with their metrics collected.
 
 use crate::events::EventLog;
-use pm_core::{FmssmInstance, Optimal, Pg, Pm, PmError, PmWorkspace, RecoveryAlgorithm, RetroFlow};
-use pm_sdwan::{ControllerId, FailureScenario, PlanMetrics, Programmability, RecoveryPlan, SdWan};
+use pm_core::{FmssmInstance, Optimal, Pg, Pm, PmWorkspace, RecoveryAlgorithm, RetroFlow, Solved};
+use pm_sdwan::{ControllerId, PlanMetrics, SdWan};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Evaluation options shared by the figure binaries, parsed from the
 /// command line by [`EvalOptions::from_args`].
@@ -476,102 +477,52 @@ pub fn case_label(net: &SdWan, failed: &[ControllerId]) -> String {
     format!("({})", nodes.join(","))
 }
 
-/// Runs RetroFlow, PM, PG and (optionally) Optimal on one failure case.
+/// Runs RetroFlow, PM, PG and (unless [`EvalOptions::skip_optimal`])
+/// Optimal on an already-built instance, each through [`pm_core::solve`]
+/// under a `bench.algo` span; [`crate::SweepEngine`] calls it per case.
+/// `ws` carries PM's buffers across a worker's cases.
 ///
 /// # Panics
 ///
-/// Panics if the failure scenario is invalid or an algorithm produces an
-/// invalid plan — both indicate bugs, not data errors.
-pub fn run_case(
-    net: &SdWan,
-    prog: &Programmability,
-    failed: &[ControllerId],
-    opts: &EvalOptions,
-) -> CaseResult {
-    let scenario = net.fail(failed).expect("valid failure case");
-    let inst = FmssmInstance::new(&scenario, prog);
-    CaseResult {
-        failed: failed.to_vec(),
-        label: case_label(net, failed),
-        runs: run_algorithms(&scenario, prog, &inst, opts, &mut AlgoWorkspace::default()),
-    }
-}
-
-/// Per-worker allocation reuse across the cases of a sweep. Plans are
-/// byte-identical whether a workspace is fresh or carried over — only the
-/// buffers survive, never decisions.
-#[derive(Debug, Default)]
-pub(crate) struct AlgoWorkspace {
-    /// The PM heuristic's bitmap/accumulator buffers.
-    pub(crate) pm: PmWorkspace,
-}
-
-/// Times and validates each algorithm on an already-built instance; shared
-/// by [`run_case`] and the parallel [`crate::SweepEngine`].
+/// Panics if an algorithm fails or produces an invalid plan — both
+/// indicate bugs, not data errors.
 pub(crate) fn run_algorithms(
-    scenario: &FailureScenario<'_>,
-    prog: &Programmability,
     inst: &FmssmInstance<'_, '_>,
     opts: &EvalOptions,
-    ws: &mut AlgoWorkspace,
+    ws: &mut PmWorkspace,
 ) -> Vec<AlgoRun> {
-    // One measured, validated heuristic run. `recover` is a closure rather
-    // than the trait method so PM can run inside the shared workspace; the
-    // name/span/metrics handling stays common to all three.
-    fn heuristic_run(
-        algo: &dyn RecoveryAlgorithm,
-        scenario: &FailureScenario<'_>,
-        prog: &Programmability,
-        recover: impl FnOnce() -> Result<RecoveryPlan, PmError>,
-    ) -> AlgoRun {
-        let algo_span = pm_obs::span_labeled("bench.algo", algo.name());
-        let start = Instant::now();
-        let plan = recover().expect("heuristics always produce a plan");
-        let elapsed = start.elapsed();
-        drop(algo_span);
-        plan.validate(scenario, prog, algo.is_flow_level())
-            .expect("plan must be valid");
-        let metrics = PlanMetrics::compute(scenario, prog, &plan, algo.middle_layer_ms());
-        let total_delay = plan.total_control_delay(scenario);
-        AlgoRun {
-            name: algo.name(),
-            metrics,
-            elapsed,
-            proved_optimal: None,
-            total_delay,
-        }
-    }
-
-    let mut runs = Vec::new();
-    let retroflow = RetroFlow::new();
-    runs.push(heuristic_run(&retroflow, scenario, prog, || {
-        retroflow.recover(inst)
-    }));
-    let pm = Pm::new();
-    runs.push(heuristic_run(&pm, scenario, prog, || {
-        pm.recover_in(inst, &mut ws.pm)
-    }));
-    let pg = Pg::new();
-    runs.push(heuristic_run(&pg, scenario, prog, || pg.recover(inst)));
+    let run = |solved: Solved, name, proved_optimal| AlgoRun {
+        name,
+        total_delay: solved.plan.total_control_delay(inst.scenario()),
+        metrics: solved.metrics,
+        elapsed: solved.elapsed,
+        proved_optimal,
+    };
+    let mut runs: Vec<AlgoRun> = [
+        &RetroFlow::new() as &dyn RecoveryAlgorithm,
+        &Pm::new(),
+        &Pg::new(),
+    ]
+    .into_iter()
+    .map(|algo| {
+        let _algo_span = pm_obs::span_labeled("bench.algo", algo.name());
+        let solved = pm_core::solve(algo, inst, ws).expect("heuristic plans are valid");
+        run(solved, algo.name(), None)
+    })
+    .collect();
 
     if !opts.skip_optimal {
+        // `solve_detailed` rather than `solve`: the run also reports
+        // whether branch-and-bound proved optimality within its budget.
         let _algo_span = pm_obs::span_labeled("bench.algo", "Optimal");
         let solver = Optimal::new().time_limit(opts.optimal_time_limit);
         let out = solver
             .solve_detailed(inst)
             .expect("warm start guarantees an incumbent");
-        out.plan
-            .validate(scenario, prog, false)
-            .expect("optimal plan must be valid");
-        let metrics = PlanMetrics::compute(scenario, prog, &out.plan, 0.0);
-        let total_delay = out.plan.total_control_delay(scenario);
-        runs.push(AlgoRun {
-            name: "Optimal",
-            metrics,
-            elapsed: out.elapsed,
-            proved_optimal: Some(out.proved_optimal()),
-            total_delay,
-        });
+        let proved = out.proved_optimal();
+        let solved =
+            Solved::check(&solver, inst, out.plan, out.elapsed).expect("optimal plan is valid");
+        runs.push(run(solved, solver.name(), Some(proved)));
     }
 
     runs
@@ -580,17 +531,17 @@ pub(crate) fn run_algorithms(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SweepEngine;
     use pm_sdwan::SdWanBuilder;
 
     #[test]
     fn runs_all_algorithms_on_a_case() {
         let net = SdWanBuilder::att_paper_setup().build().unwrap();
-        let prog = Programmability::compute(&net);
         let opts = EvalOptions {
             optimal_time_limit: Duration::from_secs(2),
             ..Default::default()
         };
-        let case = run_case(&net, &prog, &[ControllerId(4)], &opts);
+        let case = SweepEngine::new(&net, opts).run_case(&[ControllerId(4)]);
         assert_eq!(case.runs.len(), 4);
         assert!(case.run("PM").is_some());
         assert!(case.run("Optimal").is_some());
@@ -600,12 +551,11 @@ mod tests {
     #[test]
     fn skip_optimal_runs_three() {
         let net = SdWanBuilder::att_paper_setup().build().unwrap();
-        let prog = Programmability::compute(&net);
         let opts = EvalOptions {
             skip_optimal: true,
             ..Default::default()
         };
-        let case = run_case(&net, &prog, &[ControllerId(0)], &opts);
+        let case = SweepEngine::new(&net, opts).run_case(&[ControllerId(0)]);
         assert_eq!(case.runs.len(), 3);
         assert!(case.run("Optimal").is_none());
     }

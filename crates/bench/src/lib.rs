@@ -26,7 +26,6 @@ pub mod plan_store;
 pub mod pmd;
 pub mod report;
 pub mod scenario_space;
-pub mod sweep;
 pub mod timelines;
 pub mod wan;
 
@@ -36,6 +35,5 @@ pub use par::{current_worker, stream_indexed, timing_stats, SolvedPlan, SweepEng
 pub use plan_store::{PlanStore, StoredPlan};
 pub use pmd::{Generation, PmdConfig, PmdService};
 pub use scenario_space::{binomial, ScenarioSelection, ScenarioSpace};
-pub use sweep::combinations;
 pub use timelines::{timeline_rows, TimelineRunInfo, TimelineSelection, TIMELINE_CASE_HEADERS};
 pub use wan::{build_wan, BuiltWan, WanSpec};

@@ -25,13 +25,14 @@
 //!
 //! Each case reuses the engine's [`NetCache`] (shortest-path trees,
 //! path counts, programmability, controller loads, delay orders), so a
-//! case costs only the algorithms themselves. Metric output is therefore
-//! byte-identical between `--jobs 1` and any other thread count; only the
-//! wall-clock statistics vary run to run.
+//! case costs only the algorithms themselves, each run through
+//! [`pm_core::solve`] with the worker's carried [`PmWorkspace`]. Metric
+//! output is therefore byte-identical between `--jobs 1` and any other
+//! thread count; only the wall-clock statistics vary run to run.
 
-use crate::harness::{case_label, run_algorithms, AlgoWorkspace, CaseResult, EvalOptions};
+use crate::harness::{case_label, run_algorithms, CaseResult, EvalOptions};
 use crate::scenario_space::{ScenarioSelection, ScenarioSpace};
-use pm_core::{FmssmInstance, Pm, RecoveryAlgorithm};
+use pm_core::{FmssmInstance, Pm, PmWorkspace};
 use pm_sdwan::{
     ControllerId, FailureScenario, NetCache, PlanMetrics, Programmability, RecoveryPlan, SdWan,
     SdwanError,
@@ -198,13 +199,13 @@ pub struct SweepEngine<'net> {
 
 /// State one sweep worker carries from case to case on the incremental
 /// path: the previous scenario (patched in place by
-/// [`pm_sdwan::FailureScenario::apply_delta`] chains) and the algorithms'
-/// reusable buffers. Dropping it between cases reproduces the cold path
-/// bit for bit — it holds no decisions, only already-computed state.
+/// [`pm_sdwan::FailureScenario::apply_delta`] chains) and PM's reusable
+/// buffers. Dropping it between cases reproduces the cold path bit for
+/// bit — it holds no decisions, only already-computed state.
 #[derive(Debug, Default)]
 struct DeltaState<'net> {
     scenario: Option<FailureScenario<'net>>,
-    ws: AlgoWorkspace,
+    ws: PmWorkspace,
 }
 
 impl<'net> SweepEngine<'net> {
@@ -281,13 +282,7 @@ impl<'net> SweepEngine<'net> {
         let inst_span = pm_obs::span("sweep.instance");
         let inst = FmssmInstance::with_cache(scenario, self.cache.programmability(), &self.cache);
         drop(inst_span);
-        let runs = run_algorithms(
-            scenario,
-            self.cache.programmability(),
-            &inst,
-            &self.opts,
-            ws,
-        );
+        let runs = run_algorithms(&inst, &self.opts, ws);
         if pm_obs::enabled() {
             pm_obs::count("sweep.cases", 1);
         }
@@ -311,7 +306,7 @@ impl<'net> SweepEngine<'net> {
     /// — the lookup side of the `pmd` plan store compares against exactly
     /// this. Byte-identical to the PM run inside
     /// [`SweepEngine::run_case`]: same cached instance construction, same
-    /// warm-workspace entry point.
+    /// [`pm_core::solve`] call on the warm workspace.
     ///
     /// # Panics
     ///
@@ -329,23 +324,14 @@ impl<'net> SweepEngine<'net> {
         self.advance_scenario(failed, &mut state.scenario);
         let DeltaState { scenario, ws } = state;
         let scenario = scenario.as_ref().expect("scenario just advanced");
-        let prog = self.cache.programmability();
-        let inst = FmssmInstance::with_cache(scenario, prog, &self.cache);
-        let pm = Pm::new();
-        let t0 = std::time::Instant::now();
-        let plan = pm
-            .recover_in(&inst, &mut ws.pm)
-            .expect("PM always produces a plan");
-        let elapsed = t0.elapsed();
-        plan.validate(scenario, prog, pm.is_flow_level())
-            .expect("plan must be valid");
-        let metrics = PlanMetrics::compute(scenario, prog, &plan, pm.middle_layer_ms());
+        let inst = FmssmInstance::with_cache(scenario, self.cache.programmability(), &self.cache);
+        let solved = pm_core::solve(&Pm::new(), &inst, ws).expect("PM plans are valid");
         SolvedPlan {
             failed: failed.to_vec(),
             label,
-            plan,
-            metrics,
-            elapsed,
+            plan: solved.plan,
+            metrics: solved.metrics,
+            elapsed: solved.elapsed,
         }
     }
 
@@ -614,10 +600,13 @@ mod tests {
         let engine = SweepEngine::new(&net, opts.clone());
         let prog = Programmability::compute(&net);
         for case in engine.sweep(1) {
-            let serial = crate::harness::run_case(&net, &prog, &case.failed, &opts);
-            assert_eq!(case.label, serial.label);
-            assert_eq!(case.runs.len(), serial.runs.len());
-            for (a, b) in case.runs.iter().zip(&serial.runs) {
+            // Reference: an uncached scenario and a fresh programmability
+            // table, so the cache is checked against a from-scratch build.
+            let scenario = net.fail(&case.failed).unwrap();
+            let inst = FmssmInstance::new(&scenario, &prog);
+            let serial = run_algorithms(&inst, &opts, &mut PmWorkspace::default());
+            assert_eq!(case.runs.len(), serial.len());
+            for (a, b) in case.runs.iter().zip(&serial) {
                 assert_eq!(a.name, b.name);
                 assert_eq!(
                     a.metrics.per_flow_programmability,

@@ -60,13 +60,13 @@ pub struct StoredPlan {
 }
 
 impl StoredPlan {
-    fn from_solved(rank: u64, solved: &SolvedPlan, buf: &mut String) -> StoredPlan {
+    pub(crate) fn from_solved(rank: u64, solved: SolvedPlan, buf: &mut String) -> StoredPlan {
         buf.clear();
         solved.plan.to_text_into(buf);
         StoredPlan {
             rank,
-            failed: solved.failed.clone(),
-            label: solved.label.clone(),
+            failed: solved.failed,
+            label: solved.label,
             plan_text: buf.clone(),
             min_programmability: solved.metrics.min_programmability,
             total_programmability: solved.metrics.total_programmability,
@@ -117,7 +117,7 @@ impl PlanStore {
             let space = ScenarioSpace::new(controllers, f);
             let sel = ScenarioSelection::exhaustive(space);
             for solved in engine.solve_selection(&sel) {
-                entries.push(StoredPlan::from_solved(next_rank, &solved, &mut buf));
+                entries.push(StoredPlan::from_solved(next_rank, solved, &mut buf));
                 next_rank += 1;
             }
             spaces.push(ScenarioSpace::new(controllers, f));

@@ -35,11 +35,11 @@
 //! `POST /shutdown` *is* the daemon's termination signal.
 
 use crate::harness::EvalOptions;
-use crate::par::SweepEngine;
+use crate::par::{SolvedPlan, SweepEngine};
 use crate::plan_store::{PlanStore, StoredPlan};
-use pm_core::{FmssmInstance, Pm, PmWorkspace, RecoveryAlgorithm};
+use pm_core::{FmssmInstance, Pm, PmWorkspace};
 use pm_obs::{json, MetricsServer, Request, Response, Router, ServeConfig};
-use pm_sdwan::{ControllerId, NetCache, PlanMetrics, SdWan};
+use pm_sdwan::{ControllerId, NetCache, SdWan};
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -143,30 +143,23 @@ impl Generation {
             .net
             .fail_cached(failed, &self.cache)
             .map_err(|e| e.to_string())?;
-        let prog = self.cache.programmability();
-        let inst = FmssmInstance::with_cache(&scenario, prog, &self.cache);
-        let pm = Pm::new();
-        let t0 = std::time::Instant::now();
-        let plan = FALLBACK_WS
-            .with(|ws| pm.recover_in(&inst, &mut ws.borrow_mut()))
+        let inst = FmssmInstance::with_cache(&scenario, self.cache.programmability(), &self.cache);
+        let solved = FALLBACK_WS
+            .with(|ws| pm_core::solve(&Pm::new(), &inst, &mut ws.borrow_mut()))
             .map_err(|e| e.to_string())?;
-        let elapsed = t0.elapsed();
-        plan.validate(&scenario, prog, pm.is_flow_level())
-            .map_err(|e| e.to_string())?;
-        let metrics = PlanMetrics::compute(&scenario, prog, &plan, pm.middle_layer_ms());
-        Ok(StoredPlan {
-            rank: u64::MAX, // no global rank: not in the store
+        let solved = SolvedPlan {
             failed: failed.to_vec(),
             label: crate::harness::case_label(&self.net, failed),
-            plan_text: plan.to_text(),
-            min_programmability: metrics.min_programmability,
-            total_programmability: metrics.total_programmability,
-            recovered_flows: metrics.recovered_flows,
-            offline_flows: metrics.offline_flows,
-            recovered_switches: metrics.recovered_switches,
-            offline_switches: metrics.offline_switches,
-            solve_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
-        })
+            plan: solved.plan,
+            metrics: solved.metrics,
+            elapsed: solved.elapsed,
+        };
+        // No global rank: the plan is not in the store.
+        Ok(StoredPlan::from_solved(
+            u64::MAX,
+            solved,
+            &mut String::new(),
+        ))
     }
 }
 

@@ -400,7 +400,6 @@ impl ScenarioSelection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::combinations;
 
     #[test]
     fn binomial_edges_and_saturation() {
@@ -444,13 +443,11 @@ mod tests {
 
     #[test]
     fn colex_enumeration_is_a_permutation_of_lex() {
+        // Every subset appears exactly once: the (6, 3) bijection of
+        // `rank_unrank_roundtrip_covers_the_space`. This test pins the
+        // order.
         let space = ScenarioSpace::new(6, 3);
-        let lex = combinations(6, 3);
         let colex: Vec<_> = (0..space.count()).map(|r| space.unrank(r)).collect();
-        assert_eq!(colex.len(), lex.len());
-        for s in &lex {
-            assert!(colex.contains(s), "{s:?} missing from colex enumeration");
-        }
         // Colex sorts by largest element first.
         for w in colex.windows(2) {
             let (a, b) = (&w[0], &w[1]);

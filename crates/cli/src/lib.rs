@@ -23,7 +23,9 @@ mod obs_prof;
 mod obs_top;
 mod serve_cmd;
 
-use pm_core::{FmssmInstance, Optimal, Pg, Pm, RecoveryAlgorithm, RetroFlow, TwoStage};
+use pm_core::{
+    FmssmInstance, Optimal, Pg, Pm, PmWorkspace, RecoveryAlgorithm, RetroFlow, Solved, TwoStage,
+};
 use pm_sdwan::{
     place_controllers, ControllerId, NetCache, PlacementStrategy, PlanMetrics, Programmability,
     RecoveryPlan, SdWan, SdWanBuilder,
@@ -366,6 +368,13 @@ fn make_algo(name: &str, opt_secs: u64) -> Result<Box<dyn RecoveryAlgorithm>, Cl
     }
 }
 
+/// Runs `algo` through [`pm_core::solve`]: recovery, then validation and
+/// metrics, the same path the evaluation uses.
+fn solve(algo: &dyn RecoveryAlgorithm, inst: &FmssmInstance<'_, '_>) -> Result<Solved, CliError> {
+    pm_core::solve(algo, inst, &mut PmWorkspace::default())
+        .map_err(|e| CliError::runtime(format!("{} failed: {e}", algo.name())))
+}
+
 fn parse_opt_secs(args: &mut Vec<OsString>) -> Result<u64, CliError> {
     match take_str_flag(args, "--opt-secs")? {
         Some(v) => v
@@ -504,12 +513,7 @@ fn cmd_plan(args: &[OsString], out: &mut dyn Write) -> Result<(), CliError> {
             path.display()
         );
     }
-    let plan = algo
-        .recover(&inst)
-        .map_err(|e| CliError::runtime(format!("{} failed: {e}", algo.name())))?;
-    plan.validate(&scenario, prog, algo.is_flow_level())
-        .map_err(|e| CliError::runtime(format!("produced plan invalid: {e}")))?;
-    let metrics = PlanMetrics::compute(&scenario, prog, &plan, algo.middle_layer_ms());
+    let Solved { plan, metrics, .. } = solve(&*algo, &inst)?;
     let _ = writeln!(out, "algorithm: {}", algo.name());
     print_metrics(out, &metrics);
     match out_file {
@@ -577,10 +581,7 @@ fn cmd_compare(args: &[OsString], out: &mut dyn Write) -> Result<(), CliError> {
     );
     for name in ["retroflow", "pm", "pg", "optimal"] {
         let algo = make_algo(name, opt_secs)?;
-        let plan = algo
-            .recover(&inst)
-            .map_err(|e| CliError::runtime(format!("{name} failed: {e}")))?;
-        let m = PlanMetrics::compute(&scenario, prog, &plan, algo.middle_layer_ms());
+        let m = solve(&*algo, &inst)?.metrics;
         let _ = writeln!(
             out,
             "{:<10} {:>9} {:>9} {:>7} {:>9} {:>12.3}",
@@ -620,9 +621,7 @@ fn cmd_simulate(args: &[OsString], out: &mut dyn Write) -> Result<(), CliError> 
         .fail_cached(&failed, &cache)
         .map_err(|e| CliError::runtime(format!("invalid failure: {e}")))?;
     let inst = FmssmInstance::with_cache(&scenario, prog, &cache);
-    let plan = algo
-        .recover(&inst)
-        .map_err(|e| CliError::runtime(format!("{} failed: {e}", algo.name())))?;
+    let plan = solve(&*algo, &inst)?.plan;
 
     let mut sim = Simulation::new(&net);
     if cascade {
@@ -916,9 +915,7 @@ fn cmd_relieve(args: &[OsString], out: &mut dyn Write) -> Result<(), CliError> {
         .fail_cached(&failed, &cache)
         .map_err(|e| CliError::runtime(format!("invalid failure: {e}")))?;
     let inst = FmssmInstance::with_cache(&scenario, prog, &cache);
-    let plan = algo
-        .recover(&inst)
-        .map_err(|e| CliError::runtime(format!("{} failed: {e}", algo.name())))?;
+    let plan = solve(&*algo, &inst)?.plan;
 
     // Gravity traffic sized so the hottest link starts near 80 % of an
     // arbitrary capacity unit.

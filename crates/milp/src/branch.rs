@@ -181,12 +181,6 @@ impl MilpSolver {
         self
     }
 
-    /// Overrides the LP sub-solver options.
-    pub fn simplex_options(mut self, opts: SimplexOptions) -> Self {
-        self.simplex = opts;
-        self
-    }
-
     /// Solves `model` to optimality or until a limit is reached.
     ///
     /// # Panics

@@ -262,11 +262,6 @@ impl LpContext {
         }
     }
 
-    /// Forgets the retained warm basis; the next solve starts cold.
-    pub fn reset_warm(&mut self) {
-        self.warm = None;
-    }
-
     /// Solves under the given variable bounds, warm-starting from the
     /// previous solve's basis when it remains primal-feasible (phase 1 is
     /// then skipped and `milp.basis.reuse_hits` counts the hit).

@@ -105,11 +105,12 @@ impl SwitchPool {
 
 /// Reusable buffers for repeated [`Pm`] runs — the per-case `X`/`Y`/`A`/`H`
 /// state plus the phase-1 switch pool. A sweep that calls
-/// [`Pm::recover_in`] with the same workspace across cases re-dimensions
-/// these buffers in place instead of allocating them per case (the `Y`
-/// bitmap alone is `switches × flows` cells), and produces plans identical
-/// to fresh [`RecoveryAlgorithm::recover`] calls: every cell is
-/// re-initialized from the instance before use.
+/// [`RecoveryAlgorithm::recover_in`] (or [`crate::solve`]) with the same
+/// workspace across cases re-dimensions these buffers in place instead of
+/// allocating them per case (the `Y` bitmap alone is `switches × flows`
+/// cells), and produces plans identical to fresh
+/// [`RecoveryAlgorithm::recover`] calls: every cell is re-initialized from
+/// the instance before use.
 #[derive(Debug, Default)]
 pub struct PmWorkspace {
     x: Vec<Option<usize>>,
@@ -164,14 +165,16 @@ pub struct PmConfig {
 /// # Example
 ///
 /// ```
-/// use pm_core::{FmssmInstance, Pm, RecoveryAlgorithm};
+/// use pm_core::{solve, FmssmInstance, Pm, PmWorkspace};
 /// use pm_sdwan::{ControllerId, Programmability, SdWanBuilder};
 ///
 /// let net = SdWanBuilder::att_paper_setup().build()?;
 /// let prog = Programmability::compute(&net);
 /// let scenario = net.fail(&[ControllerId(3)])?;
-/// let plan = Pm::new().recover(&FmssmInstance::new(&scenario, &prog))?;
-/// plan.validate(&scenario, &prog, false)?;
+/// let inst = FmssmInstance::new(&scenario, &prog);
+/// // `solve` runs `recover_in` on the workspace, then validates the plan.
+/// let solved = solve(&Pm::new(), &inst, &mut PmWorkspace::default())?;
+/// assert!(solved.metrics.recovered_flows > 0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
@@ -215,21 +218,6 @@ impl Pm {
         self.run(inst, Some(seed), &mut PmWorkspace::default())
     }
 
-    /// Like [`RecoveryAlgorithm::recover`], reusing `ws`'s buffers instead
-    /// of allocating fresh per-run state. The plan is identical to an
-    /// unseeded `recover` call; only the allocation behaviour differs.
-    ///
-    /// # Errors
-    ///
-    /// Infallible today; returns `Result` for parity with `recover`.
-    pub fn recover_in(
-        &self,
-        inst: &FmssmInstance<'_, '_>,
-        ws: &mut PmWorkspace,
-    ) -> Result<RecoveryPlan, PmError> {
-        self.run(inst, None, ws)
-    }
-
     /// [`Pm::recover_with_seed`] with workspace reuse, combining the
     /// successive-failure seeding semantics with sweep-friendly buffers.
     ///
@@ -253,6 +241,16 @@ impl RecoveryAlgorithm for Pm {
 
     fn recover(&self, inst: &FmssmInstance<'_, '_>) -> Result<RecoveryPlan, PmError> {
         self.run(inst, None, &mut PmWorkspace::default())
+    }
+
+    /// Reuses `ws`'s buffers instead of allocating fresh per-run state;
+    /// only the allocation behaviour differs from `recover`.
+    fn recover_in(
+        &self,
+        inst: &FmssmInstance<'_, '_>,
+        ws: &mut PmWorkspace,
+    ) -> Result<RecoveryPlan, PmError> {
+        self.run(inst, None, ws)
     }
 }
 

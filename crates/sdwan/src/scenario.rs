@@ -511,16 +511,6 @@ impl<'net> FailureScenario<'net> {
         self.ideal_delay_g
     }
 
-    /// Offline switches on flow `l`'s path, in path order.
-    pub fn offline_switches_on_path(&self, l: FlowId) -> Vec<SwitchId> {
-        self.net.flows[l.0]
-            .path
-            .iter()
-            .copied()
-            .filter(|&s| self.is_offline(s))
-            .collect()
-    }
-
     /// Builds the scenario whose failed set is `prev`'s with `remove`
     /// revived and `add` newly failed, by patching `prev`'s derived state
     /// instead of rebuilding it. Colex-adjacent scenario ranks share f−1

@@ -22,7 +22,7 @@
 
 use crate::time::SimTime;
 use crate::SimError;
-use pm_core::{FmssmInstance, Pm, RecoveryAlgorithm, RetroFlow};
+use pm_core::{solve, FmssmInstance, Pm, PmWorkspace, RetroFlow};
 use pm_sdwan::{
     ControllerId, FailureScenario, FlowId, NetCache, PlanMetrics, Programmability, RecoveryPlan,
     SdWan,
@@ -552,6 +552,7 @@ impl Timeline {
         let mut table = baseline.clone();
 
         let mut failed: Vec<ControllerId> = Vec::new();
+        let mut ws = PmWorkspace::default();
         let mut report = TimelineReport {
             id: self.id,
             events: 0,
@@ -651,31 +652,20 @@ impl Timeline {
             let solve_span = obs.then(|| pm_obs::span("sim.timeline.solve"));
             let scenario = net.fail_cached(&failed, cache).map_err(SimError::Sdwan)?;
             let inst = FmssmInstance::with_cache(&scenario, prog, cache);
-            let retro_algo = RetroFlow::new();
-            let pm_algo = Pm::new();
-            let retro_plan = retro_algo
-                .recover(&inst)
-                .expect("RetroFlow always produces a plan");
-            let pm_plan = pm_algo.recover(&inst).expect("PM always produces a plan");
-            retro_plan
-                .validate(&scenario, prog, retro_algo.is_flow_level())
-                .expect("RetroFlow plan must be valid");
-            pm_plan
-                .validate(&scenario, prog, pm_algo.is_flow_level())
-                .expect("PM plan must be valid");
-            let retro_metrics = PlanMetrics::compute(&scenario, prog, &retro_plan, 0.0);
-            let pm_metrics = PlanMetrics::compute(&scenario, prog, &pm_plan, 0.0);
+            let retro =
+                solve(&RetroFlow::new(), &inst, &mut ws).expect("RetroFlow plans are valid");
+            let pm = solve(&Pm::new(), &inst, &mut ws).expect("PM plans are valid");
             drop(solve_span);
             report.solves += 1;
 
             record.solved = true;
-            record.offline_flows = pm_metrics.offline_flows;
-            record.pm_recovered = pm_metrics.recovered_flows;
-            record.retro_recovered = retro_metrics.recovered_flows;
-            record.pm_total = pm_metrics.total_programmability;
-            record.retro_total = retro_metrics.total_programmability;
-            record.pm_min = pm_metrics.min_programmability_recoverable();
-            record.retro_min = retro_metrics.min_programmability_recoverable();
+            record.offline_flows = pm.metrics.offline_flows;
+            record.pm_recovered = pm.metrics.recovered_flows;
+            record.retro_recovered = retro.metrics.recovered_flows;
+            record.pm_total = pm.metrics.total_programmability;
+            record.retro_total = retro.metrics.total_programmability;
+            record.pm_min = pm.metrics.min_programmability_recoverable();
+            record.retro_min = retro.metrics.min_programmability_recoverable();
             if record.offline_flows > 0 {
                 let ppm = record.pm_recovered as u64 * 1_000_000 / record.offline_flows as u64;
                 report.pm_worst_recovered_ppm = report.pm_worst_recovered_ppm.min(ppm);
@@ -685,17 +675,17 @@ impl Timeline {
             // at baseline, offline flows carry PM's plan values.
             table.copy_from_slice(&baseline);
             for (i, &l) in scenario.offline_flows().iter().enumerate() {
-                table[l.index()] = pm_metrics.per_flow_programmability[i];
+                table[l.index()] = pm.metrics.per_flow_programmability[i];
             }
 
             inspect(
                 &record,
                 Some(&EventSolve {
                     scenario: &scenario,
-                    pm_plan: &pm_plan,
-                    retro_plan: &retro_plan,
-                    pm_metrics: &pm_metrics,
-                    retro_metrics: &retro_metrics,
+                    pm_plan: &pm.plan,
+                    retro_plan: &retro.plan,
+                    pm_metrics: &pm.metrics,
+                    retro_metrics: &retro.metrics,
                 }),
             );
             report.records.push(record);

@@ -3,10 +3,8 @@
 //!
 //! Run: `cargo run -p pm-examples --bin custom_topology [file.graphml]`
 
-use pm_core::{FmssmInstance, Pm, RecoveryAlgorithm, RetroFlow};
-use pm_sdwan::{
-    place_controllers, ControllerId, PlacementStrategy, PlanMetrics, Programmability, SdWanBuilder,
-};
+use pm_core::{solve, FmssmInstance, Pm, PmWorkspace, RecoveryAlgorithm, RetroFlow};
+use pm_sdwan::{place_controllers, ControllerId, PlacementStrategy, Programmability, SdWanBuilder};
 use pm_topo::builders::{waxman, WaxmanParams};
 use pm_topo::zoo;
 
@@ -73,9 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let inst = FmssmInstance::new(&scenario, &prog);
 
     for algo in [&RetroFlow::new() as &dyn RecoveryAlgorithm, &Pm::new()] {
-        let plan = algo.recover(&inst)?;
-        plan.validate(&scenario, &prog, algo.is_flow_level())?;
-        let metrics = PlanMetrics::compute(&scenario, &prog, &plan, algo.middle_layer_ms());
+        let metrics = solve(algo, &inst, &mut PmWorkspace::default())?.metrics;
         println!(
             "{:<10} recovered {}/{} recoverable flows, total programmability {}, \
              {} of {} switches",

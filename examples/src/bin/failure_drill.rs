@@ -4,9 +4,9 @@
 //!
 //! Run: `cargo run --release -p pm-examples --bin failure_drill`
 
-use pm_core::{FmssmInstance, Pg, Pm, RecoveryAlgorithm, RetroFlow};
+use pm_core::{solve, FmssmInstance, Pg, Pm, PmWorkspace, RecoveryAlgorithm, RetroFlow};
 use pm_sdwan::hybrid::{HybridTable, RoutingMode, TableHit};
-use pm_sdwan::{ControllerId, FlowId, PlanMetrics, Programmability, SdWanBuilder, SwitchId};
+use pm_sdwan::{ControllerId, FlowId, Programmability, SdWanBuilder, SwitchId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let net = SdWanBuilder::att_paper_setup().build()?;
@@ -42,10 +42,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &Pm::new(),
             &Pg::new(),
         ] {
-            let plan = algo.recover(&inst)?;
-            plan.validate(&scenario, &prog, algo.is_flow_level())?;
-            let metrics = PlanMetrics::compute(&scenario, &prog, &plan, algo.middle_layer_ms());
-            totals.push(metrics.total_programmability);
+            let solved = solve(algo, &inst, &mut PmWorkspace::default())?;
+            totals.push(solved.metrics.total_programmability);
         }
         println!(
             "{:<12} {:>10} {:>10} {:>10}",

@@ -3,8 +3,8 @@
 //!
 //! Run: `cargo run -p pm-examples --bin quickstart`
 
-use pm_core::{FmssmInstance, Pm, RecoveryAlgorithm};
-use pm_sdwan::{ControllerId, PlanMetrics, Programmability, SdWanBuilder};
+use pm_core::{solve, FmssmInstance, Pm, PmWorkspace, Solved};
+use pm_sdwan::{ControllerId, Programmability, SdWanBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Build the paper's SD-WAN: the ATT-like backbone, six controllers
@@ -29,13 +29,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scenario.offline_flows().len()
     );
 
-    // 4. Run the PM heuristic (Algorithm 1 of the paper).
+    // 4. Run the PM heuristic (Algorithm 1 of the paper); `solve` also
+    //    validates the plan and measures it.
     let instance = FmssmInstance::new(&scenario, &prog);
-    let plan = Pm::new().recover(&instance)?;
-    plan.validate(&scenario, &prog, false)?;
+    let Solved { plan, metrics, .. } = solve(&Pm::new(), &instance, &mut PmWorkspace::default())?;
 
     // 5. Inspect the recovery.
-    let metrics = PlanMetrics::compute(&scenario, &prog, &plan, 0.0);
     println!(
         "recovered {}/{} recoverable flows ({} offline total)",
         metrics.recovered_flows, metrics.recoverable_flows, metrics.offline_flows

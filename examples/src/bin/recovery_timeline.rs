@@ -5,8 +5,8 @@
 //!
 //! Run: `cargo run --release -p pm-examples --bin recovery_timeline`
 
-use pm_core::{FmssmInstance, Pg, Pm, RecoveryAlgorithm};
-use pm_sdwan::{ControllerId, PlanMetrics, Programmability, SdWanBuilder};
+use pm_core::{solve, FmssmInstance, Pg, Pm, PmWorkspace, RecoveryAlgorithm, Solved};
+use pm_sdwan::{ControllerId, Programmability, SdWanBuilder};
 use pm_simctl::{RecoveryTiming, SimTime, Simulation};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -25,10 +25,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("           hybrid switches fall back to their legacy (OSPF) tables");
 
     for algo in [&Pm::new() as &dyn RecoveryAlgorithm, &Pg::new()] {
-        let t0 = std::time::Instant::now();
-        let plan = algo.recover(&inst)?;
-        let compute_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let metrics = PlanMetrics::compute(&scenario, &prog, &plan, algo.middle_layer_ms());
+        let Solved {
+            plan,
+            metrics,
+            elapsed,
+        } = solve(algo, &inst, &mut PmWorkspace::default())?;
+        let compute_ms = elapsed.as_secs_f64() * 1e3;
 
         let mut sim = Simulation::new(&net);
         sim.schedule_failure(SimTime::from_ms(100.0), &failed);

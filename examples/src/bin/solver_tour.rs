@@ -4,9 +4,9 @@
 //!
 //! Run: `cargo run -p pm-examples --bin solver_tour`
 
-use pm_core::{DelayBound, FmssmInstance, Optimal, Pm, RecoveryAlgorithm};
+use pm_core::{solve, DelayBound, FmssmInstance, Optimal, Pm, PmWorkspace, Solved};
 use pm_milp::{MilpSolver, Model, Sense, VarKind};
-use pm_sdwan::{ControllerId, PlanMetrics, Programmability, SdWanBuilder};
+use pm_sdwan::{ControllerId, Programmability, SdWanBuilder};
 use pm_topo::{builders, NodeId};
 use std::time::Duration;
 
@@ -20,19 +20,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scenario = net.fail(&[ControllerId(0)])?;
     let inst = FmssmInstance::new(&scenario, &prog);
 
-    let pm_plan = Pm::new().recover(&inst)?;
-    let pm_metrics = PlanMetrics::compute(&scenario, &prog, &pm_plan, 0.0);
+    let pm_metrics = solve(&Pm::new(), &inst, &mut PmWorkspace::default())?.metrics;
     println!(
         "PM:      total programmability {}, objective {:.4}",
         pm_metrics.total_programmability,
         inst.objective(&pm_metrics.per_flow_programmability, true)
     );
 
-    let outcome = Optimal::new()
+    let optimal = Optimal::new()
         .time_limit(Duration::from_secs(30))
-        .delay_bound(DelayBound::IdealG)
-        .solve_detailed(&inst)?;
-    let opt_metrics = PlanMetrics::compute(&scenario, &prog, &outcome.plan, 0.0);
+        .delay_bound(DelayBound::IdealG);
+    let outcome = optimal.solve_detailed(&inst)?;
+    let opt_metrics =
+        Solved::check(&optimal, &inst, outcome.plan.clone(), outcome.elapsed)?.metrics;
     println!(
         "Optimal: total programmability {}, objective {:.4} ({}, {} nodes, {:?})",
         opt_metrics.total_programmability,
