@@ -1,7 +1,8 @@
-//! Criterion micro-benchmarks of the hottest per-case kernels: the
-//! programmability recompute, PM's phase-1 pass, one full sweep case
-//! through the [`SweepEngine`], and the incremental solver core's delta
-//! kernels against their recompute counterparts.
+//! Criterion micro-benchmarks of the hottest kernels: the Waxman
+//! generator the scale drills start from, the programmability recompute,
+//! PM's phase-1 pass, one full sweep case through the [`SweepEngine`],
+//! and the incremental solver core's delta kernels against their
+//! recompute counterparts.
 //!
 //! Complements `benches/heuristic.rs` (whole-algorithm timings): these
 //! isolate the kernels the arena-indexed storage flattened, so a layout
@@ -12,9 +13,11 @@
 //! the bench run itself.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pm_bench::wan::scale_beta;
 use pm_bench::{build_wan, EvalOptions, SweepEngine, WanSpec};
 use pm_core::{FmssmInstance, Pm, PmConfig, PmWorkspace, RecoveryAlgorithm};
 use pm_sdwan::{ControllerId, NetCache, Programmability, SdWan, SdWanBuilder};
+use pm_topo::builders::{waxman, WaxmanParams};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -75,6 +78,20 @@ fn delta_wan() -> SdWan {
         seed: 7,
     })
     .net
+}
+
+/// Kernel 0: the serial Waxman generator at 2000 nodes with the scale
+/// drills' β — both O(n²) row passes and the one-pass CSR build.
+fn bench_waxman(c: &mut Criterion) {
+    let params = WaxmanParams {
+        nodes: 2000,
+        beta: scale_beta(2000),
+        seed: 42,
+        ..Default::default()
+    };
+    c.bench_function("kernel/waxman_2k", |b| {
+        b.iter(|| waxman(black_box(&params)).expect("valid parameters"))
+    });
 }
 
 /// Kernel 1: the programmability table recompute (flat flow×switch table
@@ -238,6 +255,7 @@ fn bench_pm_warm_select(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_waxman,
     bench_programmability,
     bench_pm_phase1,
     bench_sweep_case,

@@ -1,9 +1,10 @@
 //! Deterministic parallel failure sweeps.
 //!
-//! Every parallel job in this crate — the failure sweeps, the `pmd`
-//! plan-store build, the timeline sweeps and the extra studies — runs
-//! through one worker pool, [`stream_indexed`] (`--jobs N`, default: all
-//! cores). Its workers claim contiguous batches of a position range and
+//! Every parallel job in this crate — the Waxman rows of the scale
+//! drills' set-up ([`crate::wan::build_wan`]), the failure sweeps, the
+//! `pmd` plan-store build, the timeline sweeps and the extra studies —
+//! runs through one worker pool, [`stream_indexed`] (`--jobs N`, default:
+//! all cores). Its workers claim contiguous batches of a position range and
 //! carry one caller-defined state across every batch they claim (a sweep
 //! carries its rolling scenario and algorithm workspaces); results merge
 //! in position order regardless of which worker finishes first.
@@ -16,12 +17,13 @@
 //! both compose with any job count without changing a single result byte.
 //!
 //! When the [`pm_obs`] recorder is on, the pool records one counter
-//! block under the caller's prefix (`sweep` for scenario sweeps and the
-//! store build, `sim.sweep` for timelines, the binary's name for the
-//! extra studies): `{prefix}.live_peak` (high-water mark of in-flight
-//! positions), the `{prefix}.queue_wait_ns` histogram,
-//! `{prefix}.worker.{w}.busy_ns` and `{prefix}.worker.{w}.items`; its
-//! threads are labelled `{prefix}-worker-{w}`.
+//! block under the caller's prefix (`topo` for the Waxman rows, `sweep`
+//! for scenario sweeps and the store build, `sim.sweep` for timelines,
+//! the binary's name for the extra studies): `{prefix}.live_peak`
+//! (high-water mark of in-flight positions), the
+//! `{prefix}.queue_wait_ns` histogram, `{prefix}.worker.{w}.busy_ns` and
+//! `{prefix}.worker.{w}.items`; its threads are labelled
+//! `{prefix}-worker-{w}`.
 //!
 //! Each case reuses the engine's [`NetCache`] (shortest-path trees,
 //! path counts, programmability, controller loads, delay orders), so a
@@ -78,8 +80,8 @@ pub fn current_worker() -> usize {
 ///
 /// # Panics
 ///
-/// Panics if `f` panics on any position (propagated when the worker
-/// scope joins).
+/// Panics if `f` panics on any position (re-raised with its payload when
+/// the workers are joined).
 pub fn stream_indexed<S, R, F>(
     range: Range<u64>,
     jobs: usize,
@@ -112,10 +114,11 @@ where
     let live = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..total).map(|_| None).collect());
     std::thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(jobs);
         for w in 0..jobs {
             let (next, live, slots, f) = (&next, &live, &slots, &f);
             let range = range.clone();
-            scope.spawn(move || {
+            workers.push(scope.spawn(move || {
                 WORKER_ID.with(|id| id.set(w));
                 if obs {
                     pm_obs::set_thread_label(format!("{prefix}-worker-{w}"));
@@ -162,7 +165,18 @@ where
                     }
                     idle_since = obs.then(std::time::Instant::now);
                 }
-            });
+            }));
+        }
+        // `scope` alone returns once every worker's closure has finished,
+        // which can be before its thread has exited and handed its malloc
+        // arena back; a pool started right after then opens new arenas.
+        // Back-to-back pools (the Waxman rows' two passes, a sweep and its
+        // cold re-solves) grew a 1k-switch sweep's peak RSS from ~66 MiB to
+        // 90–118 MiB that way. Joining waits for the exits.
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
     slots

@@ -9,8 +9,9 @@
 //! and time scale with the controller count and flow pool, not the
 //! switch count squared.
 
+use crate::par::{default_jobs, stream_indexed};
 use pm_sdwan::{nearest_controller_partition, spread_controllers, SdWan, SdWanBuilder, SwitchId};
-use pm_topo::builders::{waxman, WaxmanParams};
+use pm_topo::builders::{waxman_with, RowMap, WaxmanParams};
 use pm_topo::rng::DetRng;
 use std::collections::HashSet;
 
@@ -42,6 +43,29 @@ pub struct BuiltWan {
     /// Flows actually routed (the sampler can fall short of the budget
     /// on tiny pools).
     pub flows: usize,
+}
+
+/// Runs the Waxman generator's row phases on the [`stream_indexed`] pool
+/// under the `topo` prefix, `batch` rows per claim.
+struct PoolRows {
+    jobs: usize,
+    batch: usize,
+}
+
+impl RowMap for PoolRows {
+    fn map_rows<R, F>(&self, rows: usize, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(usize) -> R + Sync,
+    {
+        stream_indexed(
+            0..rows as u64,
+            self.jobs,
+            self.batch,
+            "topo",
+            |i, _: &mut ()| f(i as usize),
+        )
+    }
 }
 
 /// The β that keeps the expected Waxman degree in the high single digits
@@ -83,9 +107,12 @@ pub fn sample_flows(rng: &mut DetRng, n: usize, want: usize) -> Vec<(SwitchId, S
 }
 
 /// Generates the WAN of `spec`: topology, placement, domains, flows,
-/// capacities. Deterministic in `spec.seed`; the phases record under the
-/// `scale.topology` / `scale.placement` / `scale.build` spans when the
-/// [`pm_obs`] recorder is on.
+/// capacities. Deterministic in `spec.seed`; the Waxman rows run on the
+/// [`stream_indexed`] pool ([`default_jobs`] workers, prefix `topo`), and
+/// the graph is [`pm_topo::builders::waxman`]'s whatever the worker
+/// count. The phases record under the `scale.topology` /
+/// `scale.placement` / `scale.build` spans when the [`pm_obs`] recorder
+/// is on.
 ///
 /// # Panics
 ///
@@ -101,7 +128,13 @@ pub fn build_wan(spec: &WanSpec) -> BuiltWan {
     };
     let g = {
         let _span = pm_obs::span("scale.topology");
-        waxman(&params).expect("waxman parameters are valid")
+        // Rows shrink from n − 1 pairs to none: small claims keep the
+        // workers evenly loaded to the end.
+        let rows = PoolRows {
+            jobs: default_jobs(),
+            batch: 16,
+        };
+        waxman_with(&params, &rows).expect("waxman parameters are valid")
     };
     let edges = g.edge_count();
     let (sites, domains, flows) = {
@@ -136,6 +169,7 @@ pub fn build_wan(spec: &WanSpec) -> BuiltWan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pm_topo::builders::waxman;
 
     #[test]
     fn build_is_deterministic_in_the_seed() {
@@ -163,6 +197,28 @@ mod tests {
             a.edges != c.edges || a.flows != c.flows || a.net.flows() != c.net.flows(),
             "different seed must change the WAN"
         );
+    }
+
+    /// The pooled generator is the serial one, arc for arc, at any job
+    /// count and claim size.
+    #[test]
+    fn pooled_waxman_equals_serial() {
+        for (nodes, seed) in [(2usize, 0u64), (37, 5), (1000, 42)] {
+            let params = WaxmanParams {
+                nodes,
+                beta: scale_beta(nodes),
+                seed,
+                ..Default::default()
+            };
+            let serial = waxman(&params).unwrap();
+            for (jobs, batch) in [(1, 16), (2, 16), (8, 16), (2, 1), (8, 1)] {
+                let pooled = waxman_with(&params, &PoolRows { jobs, batch }).unwrap();
+                assert_eq!(pooled, serial, "n={nodes} jobs={jobs} batch={batch}");
+                for v in serial.nodes() {
+                    assert_eq!(pooled.adjacency(v), serial.adjacency(v));
+                }
+            }
+        }
     }
 
     #[test]

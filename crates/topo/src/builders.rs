@@ -6,7 +6,7 @@
 //! (central hub, the pathological case for switch-level recovery) and Waxman
 //! random geometric graphs (the standard synthetic WAN model).
 
-use crate::geo::GeoPoint;
+use crate::geo::{arc_km, GeoPoint, EARTH_RADIUS_KM, PROPAGATION_KM_PER_MS};
 use crate::graph::{Graph, NodeId};
 use crate::rng::DetRng;
 use crate::TopoError;
@@ -123,6 +123,33 @@ impl Default for WaxmanParams {
     }
 }
 
+/// Maps a row function over `0..rows` and returns the results in row
+/// order. [`waxman_with`] hands its per-row work to one: [`SerialRows`]
+/// runs the rows in a loop on the calling thread, and a caller that owns a
+/// worker pool runs them there. Rows are independent, so the graph is the
+/// same whichever runs them.
+pub trait RowMap {
+    /// `(0..rows).map(f)`, collected in row order.
+    fn map_rows<R, F>(&self, rows: usize, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(usize) -> R + Sync;
+}
+
+/// The [`RowMap`] that runs every row in order on the calling thread.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SerialRows;
+
+impl RowMap for SerialRows {
+    fn map_rows<R, F>(&self, rows: usize, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(usize) -> R + Sync,
+    {
+        (0..rows).map(f).collect()
+    }
+}
+
 /// Generates a connected Waxman random geometric graph.
 ///
 /// Nodes are placed uniformly in a square region around (38° N, 96° W) —
@@ -135,6 +162,42 @@ impl Default for WaxmanParams {
 ///
 /// Returns an error if `params.nodes < 2` or a parameter is out of range.
 pub fn waxman(params: &WaxmanParams) -> Result<Graph, TopoError> {
+    waxman_with(params, &SerialRows)
+}
+
+/// [`waxman`], with its two `O(n²)` row phases — the largest distance
+/// from each node to the later ones, and each node's sampled edges to the
+/// later ones — run through `rows`. The graph is bit-identical to
+/// [`waxman`]'s for every [`RowMap`]: the same edges, weights and per-node
+/// arc order.
+///
+/// # Draw-index contract
+///
+/// The generator consumes one [`DetRng`] stream, seeded with
+/// `params.seed`, in a fixed order: draws `2i` and `2i + 1` place node `i`
+/// (latitude, then longitude), and the pair `(i, j)`, `i < j`, owns draw
+///
+/// ```text
+/// 2n + i(n − 1) − i(i − 1)/2 + (j − i − 1)
+/// ```
+///
+/// — the pairs in row-major order, one draw each, whether or not the pair
+/// becomes an edge. A row therefore starts its draws with one
+/// [`DetRng::jump`] and depends on nothing but `i`. The pair is an edge
+/// when its draw `u` satisfies `u < α · exp(−d / (β · L))`, `d` computed
+/// exactly as [`GeoPoint::haversine_km`] does.
+///
+/// Most pairs never need that distance. Trigonometry-free bounds on the
+/// Haversine term skip, in the maximum pass, every pair that cannot beat
+/// the row's running maximum and, in the sampling pass, every pair so far
+/// apart that its probability is below a small floor its draw exceeds.
+/// Both bounds carry a margin far above their rounding error, so a skipped
+/// pair is one the exact test would have rejected.
+///
+/// # Errors
+///
+/// Returns an error if `params.nodes < 2` or a parameter is out of range.
+pub fn waxman_with(params: &WaxmanParams, rows: &impl RowMap) -> Result<Graph, TopoError> {
     if params.nodes < 2 {
         return Err(TopoError::Parse {
             line: 0,
@@ -152,40 +215,90 @@ pub fn waxman(params: &WaxmanParams) -> Result<Graph, TopoError> {
             message: "waxman: parameters out of range".into(),
         });
     }
+    let n = params.nodes;
     let mut rng = DetRng::seed_from_u64(params.seed);
-    let mut g = Graph::with_capacity(params.nodes);
+    let mut g = Graph::with_capacity(n);
     let half = params.region_degrees / 2.0;
-    let mut positions = Vec::with_capacity(params.nodes);
-    for i in 0..params.nodes {
+    // Each position with its cos(latitude), so a pair costs no extra cosine.
+    let mut sites = Vec::with_capacity(n);
+    for i in 0..n {
         let lat = 38.0 + rng.gen_range(-half, half) * 0.5; // squash latitude a bit
         let lon = -96.0 + rng.gen_range(-half, half);
         let p = GeoPoint::new(lat, lon);
-        positions.push(p);
+        sites.push((p, lat.to_radians().cos()));
         g.add_node(format!("w{i}"), Some(p));
     }
-    // Maximum pairwise distance for the Waxman probability scale.
-    let mut max_d: f64 = 0.0;
-    for i in 0..params.nodes {
-        for j in i + 1..params.nodes {
-            max_d = max_d.max(positions[i].haversine_km(&positions[j]));
-        }
-    }
-    for i in 0..params.nodes {
-        for j in i + 1..params.nodes {
-            let d = positions[i].haversine_km(&positions[j]);
-            let p = params.alpha * (-d / (params.beta * max_d)).exp();
-            if rng.gen_bool(p) {
-                g.add_geo_edge(NodeId(i), NodeId(j))?;
+    let a = |i: usize, j: usize| {
+        let ((p, cos_p), (q, cos_q)) = (&sites[i], &sites[j]);
+        p.haversine_a(*cos_p, q, *cos_q)
+    };
+    let bounds = |i: usize, j: usize| {
+        let ((p, cos_p), (q, cos_q)) = (&sites[i], &sites[j]);
+        p.haversine_a_bounds(*cos_p, q, *cos_q)
+    };
+    // Maximum pairwise distance for the Waxman probability scale, taken
+    // over the Haversine term and converted once: `arc_km` is monotone.
+    // A two-sweep farthest pair seeds every row's running maximum, so a
+    // pair whose upper bound falls short of it needs no trigonometry.
+    let farthest = |i: usize| {
+        (0..n)
+            .filter(|&j| j != i)
+            .map(|j| (a(i.min(j), i.max(j)), j))
+            .fold((0.0, i), |best, x| if x.0 > best.0 { x } else { best })
+    };
+    let start_max = farthest(farthest(0).1).0;
+    let row_max = rows.map_rows(n, |i| {
+        (i + 1..n).fold(start_max, |best: f64, j| {
+            if bounds(i, j).1 < best {
+                best
+            } else {
+                best.max(a(i, j))
+            }
+        })
+    });
+    let max_d = arc_km(row_max.into_iter().fold(start_max, f64::max));
+    let scale = params.beta * max_d;
+    // Beyond `far = β·L·ln(α / P_FLOOR)` a pair's probability is below
+    // `P_FLOOR`, so a draw of at least `P_FLOOR` rules it out once the
+    // pair's lower bound reaches `a_far`, the Haversine term of `far`
+    // widened by a relative margin that dwarfs the rounding of `p`. Below
+    // 1.5 rad the half angle is short of π/2, where sin² stops growing;
+    // past it, or with α under twice the floor, every pair takes the
+    // exact path.
+    const P_FLOOR: f64 = 1.0 / 256.0;
+    let half_angle = scale * (params.alpha / P_FLOOR).ln() * (1.0 + 1e-6) / (2.0 * EARTH_RADIUS_KM);
+    let a_far = if params.alpha >= 2.0 * P_FLOOR && half_angle > 0.0 && half_angle < 1.5 {
+        half_angle.sin().powi(2)
+    } else {
+        f64::INFINITY
+    };
+    let sampled = rows.map_rows(n, |i| {
+        let mut rng = DetRng::seed_from_u64(params.seed);
+        rng.jump(first_pair_draw(n, i));
+        let mut picks = Vec::new();
+        for j in i + 1..n {
+            let u = rng.unit_f64();
+            // Far pairs first: nearly every pair is one, which keeps the
+            // branch predictable.
+            if u >= P_FLOOR && bounds(i, j).0 >= a_far {
+                continue;
+            }
+            let d = arc_km(a(i, j));
+            let p = params.alpha * (-d / scale).exp();
+            if u < p.clamp(0.0, 1.0) {
+                picks.push((NodeId(i), NodeId(j), d / PROPAGATION_KM_PER_MS));
             }
         }
-    }
+        picks
+    });
+    g.add_edges(sampled.into_iter().flatten())?;
     // Guarantee connectivity: link each unreached component to the previous
     // node. Once node `i` has been processed it reaches node 0, so linking a
     // later component to `i` always merges it into node 0's component; the
     // incremental flood keeps the whole pass O(n + m).
-    let mut reached = vec![false; params.nodes];
+    let mut reached = vec![false; n];
     flood_from(&g, NodeId(0), &mut reached);
-    for i in 1..params.nodes {
+    for i in 1..n {
         if !reached[i] {
             g.add_geo_edge(NodeId(i), NodeId(i - 1))?;
             flood_from(&g, NodeId(i), &mut reached);
@@ -193,6 +306,13 @@ pub fn waxman(params: &WaxmanParams) -> Result<Graph, TopoError> {
     }
     debug_assert!(g.is_connected());
     Ok(g)
+}
+
+/// The index of pair `(i, i + 1)`'s draw in the [`waxman_with`] stream:
+/// `2n` placement draws, then `n − 1 − r` draws for each earlier row `r`.
+fn first_pair_draw(n: usize, i: usize) -> u64 {
+    let (n, i) = (n as u64, i as u64);
+    2 * n + i * (2 * n - i - 1) / 2
 }
 
 fn flood_from(g: &Graph, from: NodeId, reached: &mut [bool]) {
@@ -397,6 +517,136 @@ mod tests {
         assert_eq!(g.node_count(), 5);
         assert_eq!(g.edge_count(), 4);
         assert!(g.is_connected());
+    }
+
+    /// FNV-1a over every edge `(a, b, weight bits)` in edge-id order, then
+    /// every node's arcs `(neighbor, edge id)` in row order: equal digests
+    /// mean the same edges, weights and per-node arc order.
+    fn digest(g: &Graph) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u64| {
+            for byte in x.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for e in g.edges() {
+            eat(e.a.0 as u64);
+            eat(e.b.0 as u64);
+            eat(e.weight.to_bits());
+        }
+        for v in g.nodes() {
+            for &(u, e) in g.adjacency(v) {
+                eat(u.0 as u64);
+                eat(e.0 as u64);
+            }
+        }
+        h
+    }
+
+    /// Golden pins recorded from the original serial generator (one
+    /// haversine per pair, one draw per pair in row-major order): any
+    /// change to the draw order or the distance arithmetic shows up here,
+    /// which a generator-against-itself comparison cannot catch.
+    #[test]
+    fn waxman_matches_golden_digests() {
+        // β = pm_bench::wan::scale_beta(2000), the scale drills' setting.
+        let scale = WaxmanParams {
+            nodes: 2000,
+            beta: (0.2 * (29.0 / 1999.0f64).sqrt()).min(0.35),
+            seed: 42,
+            ..Default::default()
+        };
+        let g = waxman(&scale).unwrap();
+        assert_eq!((g.edge_count(), digest(&g)), (8271, 0x281e_6a7d_9812_a3cc));
+        let pins: [(usize, u64); 5] = [
+            (87, 0xa97f_65d8_4f50_7f74),
+            (103, 0x9c17_0df6_6324_08f5),
+            (90, 0x584b_a56c_3f73_52ea),
+            (106, 0x7f31_2310_81cd_134b),
+            (91, 0xd1ba_e7ae_e054_161f),
+        ];
+        for (seed, pin) in (0u64..).zip(pins) {
+            let g = waxman(&WaxmanParams {
+                seed,
+                ..Default::default()
+            })
+            .unwrap();
+            assert_eq!((g.edge_count(), digest(&g)), pin, "seed {seed}");
+        }
+    }
+
+    /// The original generator, verbatim: one `haversine_km` per pair in
+    /// both passes and one serial draw per pair, edge by edge.
+    fn reference_waxman(params: &WaxmanParams) -> Graph {
+        let mut rng = DetRng::seed_from_u64(params.seed);
+        let mut g = Graph::with_capacity(params.nodes);
+        let half = params.region_degrees / 2.0;
+        let mut positions = Vec::with_capacity(params.nodes);
+        for i in 0..params.nodes {
+            let lat = 38.0 + rng.gen_range(-half, half) * 0.5;
+            let lon = -96.0 + rng.gen_range(-half, half);
+            let p = GeoPoint::new(lat, lon);
+            positions.push(p);
+            g.add_node(format!("w{i}"), Some(p));
+        }
+        let mut max_d: f64 = 0.0;
+        for i in 0..params.nodes {
+            for j in i + 1..params.nodes {
+                max_d = max_d.max(positions[i].haversine_km(&positions[j]));
+            }
+        }
+        for i in 0..params.nodes {
+            for j in i + 1..params.nodes {
+                let d = positions[i].haversine_km(&positions[j]);
+                let p = params.alpha * (-d / (params.beta * max_d)).exp();
+                if rng.gen_bool(p) {
+                    g.add_geo_edge(NodeId(i), NodeId(j)).unwrap();
+                }
+            }
+        }
+        let mut reached = vec![false; params.nodes];
+        flood_from(&g, NodeId(0), &mut reached);
+        for i in 1..params.nodes {
+            if !reached[i] {
+                g.add_geo_edge(NodeId(i), NodeId(i - 1)).unwrap();
+                flood_from(&g, NodeId(i), &mut reached);
+            }
+        }
+        g
+    }
+
+    /// The bounded, row-indexed generator decides every pair as the
+    /// original does, across the regimes that switch its shortcuts on and
+    /// off: α below twice the probability floor, β tiny to 1, regions from
+    /// a few meters to latitudes past the pole (negative cosines).
+    #[test]
+    fn waxman_matches_reference_generator() {
+        let cases = [
+            (2usize, 0.6, 0.35, 20.0),
+            (3, 1.0, 1.0, 20.0),
+            (250, 0.6, 0.02, 20.0),
+            (250, 0.004, 0.35, 20.0),
+            (250, 0.01, 0.05, 20.0),
+            (250, 1.0, 0.003, 20.0),
+            (250, 0.6, 0.05, 1e-5),
+            (250, 0.6, 0.05, 170.0),
+            (250, 0.9, 0.05, 400.0),
+            (600, 0.6, 0.0545, 20.0),
+        ];
+        for (nodes, alpha, beta, region_degrees) in cases {
+            for seed in [1u64, 42] {
+                let p = WaxmanParams {
+                    nodes,
+                    alpha,
+                    beta,
+                    region_degrees,
+                    seed,
+                };
+                let (got, want) = (waxman(&p).unwrap(), reference_waxman(&p));
+                assert_eq!(digest(&got), digest(&want), "{p:?}");
+            }
+        }
     }
 
     #[test]

@@ -45,14 +45,48 @@ impl GeoPoint {
     /// assert!((d - 3936.0).abs() < 25.0); // ~3936 km
     /// ```
     pub fn haversine_km(&self, other: &GeoPoint) -> f64 {
-        let lat1 = self.latitude.to_radians();
-        let lat2 = other.latitude.to_radians();
+        let cos_lat = |p: &GeoPoint| p.latitude.to_radians().cos();
+        arc_km(self.haversine_a(cos_lat(self), other, cos_lat(other)))
+    }
+
+    /// The Haversine term `a` of [`GeoPoint::haversine_km`], clamped to
+    /// `[0, 1]`, given each point's `cos(latitude)` precomputed. The
+    /// distance is [`arc_km`] of it, bit for bit `haversine_km`; `arc_km`
+    /// is monotone, so the largest `a` of a set of pairs gives its largest
+    /// distance.
+    pub(crate) fn haversine_a(&self, cos_lat: f64, other: &GeoPoint, other_cos_lat: f64) -> f64 {
         let dlat = (other.latitude - self.latitude).to_radians();
         let dlon = (other.longitude - self.longitude).to_radians();
-        let a = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
+        let a = (dlat / 2.0).sin().powi(2) + cos_lat * other_cos_lat * (dlon / 2.0).sin().powi(2);
         // Clamp to guard against floating-point drift outside [0, 1].
-        let a = a.clamp(0.0, 1.0);
-        2.0 * EARTH_RADIUS_KM * a.sqrt().asin()
+        a.clamp(0.0, 1.0)
+    }
+
+    /// Bounds `(lo, hi)` on [`GeoPoint::haversine_a`] from a few
+    /// multiplications, no trigonometry: `x²(1 − x²/3) ≤ sin²x ≤ x²`,
+    /// widened by a relative slack far above the rounding error of either
+    /// side. Points whose cosines have opposite signs (latitudes beyond
+    /// ±90°) get the trivial `(0, ∞)`.
+    #[inline]
+    pub(crate) fn haversine_a_bounds(
+        &self,
+        cos_lat: f64,
+        other: &GeoPoint,
+        other_cos_lat: f64,
+    ) -> (f64, f64) {
+        const SLACK: f64 = 1e-9;
+        let cc = cos_lat * other_cos_lat;
+        if cc < 0.0 {
+            return (0.0, f64::INFINITY);
+        }
+        let half_sq = |d: f64| (d.to_radians() / 2.0).powi(2);
+        let (x2, y2) = (
+            half_sq(other.latitude - self.latitude),
+            half_sq(other.longitude - self.longitude),
+        );
+        let lo = x2 * (1.0 - x2 / 3.0) + cc * y2 * (1.0 - y2 / 3.0);
+        let hi = x2 + cc * y2;
+        (lo * (1.0 - SLACK), hi * (1.0 + SLACK))
     }
 
     /// One-way propagation delay to `other` in milliseconds, assuming the
@@ -69,6 +103,12 @@ impl GeoPoint {
     pub fn propagation_delay_ms(&self, other: &GeoPoint) -> f64 {
         self.haversine_km(other) / PROPAGATION_KM_PER_MS
     }
+}
+
+/// The great-circle distance in kilometers of a clamped Haversine term
+/// `a` (see [`GeoPoint::haversine_a`]).
+pub(crate) fn arc_km(a: f64) -> f64 {
+    2.0 * EARTH_RADIUS_KM * a.sqrt().asin()
 }
 
 #[cfg(test)]

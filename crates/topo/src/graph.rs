@@ -2,6 +2,7 @@
 
 use crate::geo::GeoPoint;
 use crate::TopoError;
+use std::collections::HashSet;
 use std::fmt;
 
 /// Identifier of a node inside a [`Graph`].
@@ -167,9 +168,7 @@ impl Graph {
         for i in 0..node_count {
             g.add_node(format!("n{i}"), None);
         }
-        for (a, b, w) in edges {
-            g.add_edge(NodeId(a), NodeId(b), w)?;
-        }
+        g.add_edges(edges.into_iter().map(|(a, b, w)| (NodeId(a), NodeId(b), w)))?;
         Ok(g)
     }
 
@@ -184,24 +183,82 @@ impl Graph {
         id
     }
 
-    /// Inserts `(to, e)` at the end of `from`'s CSR row, shifting the rows of
-    /// every later node. `O(V + E)` per call — graph construction is a
-    /// once-per-network cost, traded for contiguous hot-path traversal.
-    fn insert_arc(&mut self, from: NodeId, to: NodeId, e: EdgeId) {
-        let pos = self.offsets[from.0 + 1];
-        self.arcs.insert(pos, (to, e));
-        for off in &mut self.offsets[from.0 + 1..] {
-            *off += 1;
-        }
-    }
-
-    /// Adds an undirected edge between `a` and `b` with the given weight.
+    /// Adds an undirected edge between `a` and `b` with the given weight:
+    /// [`Graph::add_edges`] with a batch of one, `O(V + E)`.
     ///
     /// # Errors
     ///
     /// Returns an error if an endpoint is out of range, `a == b`, the edge
     /// already exists, or the weight is negative/not finite.
     pub fn add_edge(&mut self, a: NodeId, b: NodeId, weight: f64) -> Result<EdgeId, TopoError> {
+        self.add_edges([(a, b, weight)])?;
+        Ok(EdgeId(self.edges.len() - 1))
+    }
+
+    /// Adds a batch of undirected edges, assigning ids consecutively from
+    /// [`Graph::edge_count`] in batch order and appending each edge to both
+    /// endpoints' CSR rows in that order — the graph that adding them one
+    /// at a time gives. The CSR arrays are rebuilt once, in one counting
+    /// pass: `O(V + E)` for the whole batch. Graph construction is a
+    /// once-per-network cost, traded for contiguous hot-path traversal.
+    ///
+    /// # Errors
+    ///
+    /// Checks each edge in order — endpoints in range, no self-loop, a
+    /// finite non-negative weight, no edge between the two endpoints
+    /// already in the graph or earlier in the batch — and returns the first
+    /// failure; the graph is then left unchanged.
+    pub fn add_edges(
+        &mut self,
+        edges: impl IntoIterator<Item = (NodeId, NodeId, f64)>,
+    ) -> Result<(), TopoError> {
+        let first = self.edges.len();
+        let mut batch = HashSet::new();
+        for (a, b, weight) in edges {
+            if let Err(e) = self.check_new_edge(a, b, weight, &mut batch) {
+                self.edges.truncate(first);
+                return Err(e);
+            }
+            self.edges.push(Edge { a, b, weight });
+        }
+        let mut degree: Vec<usize> = self.offsets.windows(2).map(|w| w[1] - w[0]).collect();
+        for e in &self.edges[first..] {
+            degree[e.a.0] += 1;
+            degree[e.b.0] += 1;
+        }
+        let mut offsets = Vec::with_capacity(self.nodes.len() + 1);
+        let mut arcs = vec![(NodeId(0), EdgeId(0)); 2 * self.edges.len()];
+        // `cursor[v]`: where node v's next new arc goes, after its old row.
+        let mut cursor = Vec::with_capacity(self.nodes.len());
+        let mut start = 0;
+        for (v, &deg) in degree.iter().enumerate() {
+            let old = self.adjacency(NodeId(v));
+            arcs[start..start + old.len()].copy_from_slice(old);
+            offsets.push(start);
+            cursor.push(start + old.len());
+            start += deg;
+        }
+        offsets.push(start);
+        for (id, e) in self.edges.iter().enumerate().skip(first) {
+            for (from, to) in [(e.a, e.b), (e.b, e.a)] {
+                arcs[cursor[from.0]] = (to, EdgeId(id));
+                cursor[from.0] += 1;
+            }
+        }
+        self.offsets = offsets;
+        self.arcs = arcs;
+        Ok(())
+    }
+
+    /// The checks of [`Graph::add_edges`] for one edge, in order; `batch`
+    /// holds the endpoint pairs accepted earlier in the same batch.
+    fn check_new_edge(
+        &self,
+        a: NodeId,
+        b: NodeId,
+        weight: f64,
+        batch: &mut HashSet<(NodeId, NodeId)>,
+    ) -> Result<(), TopoError> {
         self.check_node(a)?;
         self.check_node(b)?;
         if a == b {
@@ -214,18 +271,14 @@ impl Graph {
         if !weight.is_finite() || weight < 0.0 {
             return Err(TopoError::InvalidWeight { weight });
         }
-        if self.find_edge(a, b).is_some() {
+        if self.find_edge(a, b).is_some() || !batch.insert((a.min(b), a.max(b))) {
             return Err(TopoError::InvalidEdge {
                 a: a.0,
                 b: b.0,
                 reason: "duplicate edge",
             });
         }
-        let id = EdgeId(self.edges.len());
-        self.edges.push(Edge { a, b, weight });
-        self.insert_arc(a, b, id);
-        self.insert_arc(b, a, id);
-        Ok(id)
+        Ok(())
     }
 
     /// Adds an undirected edge whose weight is the propagation delay (in
@@ -427,12 +480,12 @@ impl Graph {
             let meta = self.node(v);
             g.add_node(meta.name.clone(), meta.position);
         }
-        for (i, e) in self.edges.iter().enumerate() {
-            if EdgeId(i) != victim {
-                g.add_edge(e.a, e.b, e.weight)
-                    .expect("copying a valid graph");
-            }
-        }
+        g.add_edges(
+            (self.edges.iter().enumerate())
+                .filter(|&(i, _)| EdgeId(i) != victim)
+                .map(|(_, e)| (e.a, e.b, e.weight)),
+        )
+        .expect("copying a valid graph");
         Some(g)
     }
 }
@@ -602,6 +655,60 @@ mod tests {
         // Rows keep edge insertion order.
         let row0: Vec<NodeId> = g.neighbors(NodeId(0)).collect();
         assert_eq!(row0, vec![NodeId(5), NodeId(1), NodeId(3)]);
+    }
+
+    #[test]
+    fn add_edges_matches_sequential_add_edge() {
+        let base = || {
+            let mut g = Graph::from_edges(7, [(0, 5, 1.0), (3, 2, 2.0)]).unwrap();
+            g.add_node("late", None);
+            g
+        };
+        let add_each = |g: &mut Graph, edges: &[(usize, usize, f64)]| {
+            edges
+                .iter()
+                .find_map(|&(a, b, w)| g.add_edge(NodeId(a), NodeId(b), w).err())
+        };
+        let add_all = |g: &mut Graph, edges: &[(usize, usize, f64)]| {
+            g.add_edges(edges.iter().map(|&(a, b, w)| (NodeId(a), NodeId(b), w)))
+        };
+        // Rows grow at both ends of the arc array, the new node included.
+        let batch = [
+            (6, 0, 0.5),
+            (1, 4, 1.5),
+            (0, 1, 0.0),
+            (5, 2, 3.0),
+            (7, 6, 2.5),
+            (2, 0, 1.0),
+        ];
+        let (mut seq, mut bulk) = (base(), base());
+        assert_eq!(add_each(&mut seq, &batch), None);
+        add_all(&mut bulk, &batch).unwrap();
+        assert_eq!(bulk, seq, "same edges, offsets and arc order");
+        assert_csr_consistent(&bulk);
+        add_all(&mut bulk, &[]).unwrap();
+        assert_eq!(bulk, seq);
+
+        // Every kind of invalid input: the sequential path's first error,
+        // and nothing of the batch applied.
+        let invalid: [&[(usize, usize, f64)]; 8] = [
+            &[(0, 1, 1.0), (0, 9, 1.0)],
+            &[(9, 0, 1.0)],
+            &[(1, 2, 1.0), (3, 3, 1.0)],
+            &[(1, 2, -1.0)],
+            &[(1, 2, f64::NAN)],
+            &[(1, 2, 1.0), (4, 6, f64::INFINITY)],
+            &[(1, 2, 1.0), (5, 0, 1.0)],
+            &[(1, 2, 1.0), (4, 6, 1.0), (2, 1, 1.0)],
+        ];
+        for edges in invalid {
+            let want = add_each(&mut base(), edges).expect("the batch is invalid");
+            let mut bulk = base();
+            let got = add_all(&mut bulk, edges).unwrap_err();
+            // Debug, not ==: a NaN weight never equals itself.
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{edges:?}");
+            assert_eq!(bulk, base(), "{edges:?} left a partial batch");
+        }
     }
 
     #[test]

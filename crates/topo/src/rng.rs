@@ -21,6 +21,10 @@ pub struct DetRng {
     state: u64,
 }
 
+/// The splitmix64 increment (the golden ratio in 64-bit fixed point):
+/// after `k` draws the state is `seed + k·GAMMA`, wrapping.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 impl DetRng {
     /// Creates a generator from a 64-bit seed.
     pub fn seed_from_u64(seed: u64) -> Self {
@@ -29,11 +33,29 @@ impl DetRng {
 
     /// The next 64 random bits.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// Skips the next `draws` outputs in O(1): afterwards the generator is
+    /// where `draws` calls of [`DetRng::next_u64`] would have left it. Every
+    /// draw is thereby addressable by its index, so disjoint index ranges
+    /// can be consumed independently (and in parallel) with the exact
+    /// values a serial loop would see.
+    ///
+    /// ```
+    /// use pm_topo::rng::DetRng;
+    /// let mut serial = DetRng::seed_from_u64(7);
+    /// let third = (0..3).map(|_| serial.next_u64()).last();
+    /// let mut jumped = DetRng::seed_from_u64(7);
+    /// jumped.jump(2);
+    /// assert_eq!(Some(jumped.next_u64()), third);
+    /// ```
+    pub fn jump(&mut self, draws: u64) {
+        self.state = self.state.wrapping_add(draws.wrapping_mul(GAMMA));
     }
 
     /// Uniform `f64` in `[0, 1)`.
@@ -101,6 +123,24 @@ mod tests {
         for _ in 0..1000 {
             let v = rng.gen_range(-2.5, 7.5);
             assert!((-2.5..7.5).contains(&v));
+        }
+    }
+
+    #[test]
+    fn jump_equals_sequential_draws() {
+        // γ > 2⁶³, so k·γ wraps from k = 2 on; three million draws wrap
+        // it some 1.85 million times.
+        for seed in [0u64, 42, u64::MAX - 5] {
+            for k in [0u64, 1, 2, 1000, 3_000_000] {
+                let mut serial = DetRng::seed_from_u64(seed);
+                for _ in 0..k {
+                    serial.next_u64();
+                }
+                let mut jumped = DetRng::seed_from_u64(seed);
+                jumped.jump(k);
+                assert_eq!(jumped, serial, "seed {seed} k {k}");
+                assert_eq!(jumped.next_u64(), serial.next_u64());
+            }
         }
     }
 
